@@ -22,7 +22,15 @@ from pathlib import Path
 from typing import Any
 
 from .algorithms import make_algorithm
-from .engine import InternalInvariantError, RunTrace, SchedulerPolicy, fairness_audit, run
+from .engine import (
+    InternalInvariantError,
+    RunTrace,
+    SchedulerPolicy,
+    _dumps,
+    fairness_audit,
+    first_stages,
+    run,
+)
 from .synchronizer import ProtocolViolation
 from .tvg import (
     DynamicsPolicy,
@@ -66,10 +74,6 @@ def derive_seed(seed: int, label: str) -> int:
     dynamics and scheduler streams colliding."""
     digest = hashlib.blake2b(f"{seed}:{label}".encode("ascii"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -281,7 +285,7 @@ def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -
             results.append(CheckResult(name, False, f"history extraction failed: {extract_error}"))
             continue
         if name == "correctness":
-            equal = check_correctness(trace, algo, inputs, ports)
+            equal = check_correctness(trace, algo, inputs, ports, extracted)
             sandwich = check_sandwich(trace)
             snapshots = check_pulled_consistency(trace, algo, inputs)
             ok = equal.ok and sandwich.ok and snapshots.ok
@@ -322,12 +326,10 @@ def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -
             )
 
     series = trace.min_phase_series()
-    final_min = series[-1]
-    r_stages = [next(t for t, p in enumerate(series) if p >= i) for i in range(final_min + 1)]
     stats = {
         "phases_completed": [trace.completed_phases(u) for u in range(config.n)],
-        "min_phase": final_min,
-        "r_stages": r_stages,
+        "min_phase": series[-1],
+        "r_stages": first_stages(series),
         "max_fairness_gap": fairness_audit(trace).max_gap,
         "guard_checks": trace.footer.get("guard_checks"),
     }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -70,6 +71,18 @@ class SchedulerPolicy:
             return self.fairness_bound
         return horizon
 
+    @classmethod
+    def from_header(cls, header: dict) -> "SchedulerPolicy":
+        """The policy a trace header records (a scripted policy without its
+        script, which the header does not carry)."""
+        sched = header["scheduler"]
+        return cls(
+            kind=sched["kind"],
+            seed=sched["seed"],
+            p_activate=sched["p_activate"],
+            fairness_bound=sched["fairness_bound"],
+        )
+
     def select(self, t: int, n: int, rng: random.Random, last_activated: list[int]) -> list[int]:
         if self.kind == "all-active":
             return list(range(n))
@@ -105,8 +118,58 @@ def pull_view(neighbor: NodeState, remote_port: int, neighbor_detector: set[int]
     )
 
 
-def _dumps(obj: dict) -> str:
+def _dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@dataclass
+class TraceIndex:
+    """Per-node view of a trace's events, built in one pass over them.
+
+    The lists hold the event dicts themselves, so an in-place edit of an
+    event shows through the index. ``exec_stages[u]`` lists the stages of
+    node u's execute events in order, for bisecting phase boundaries.
+    """
+
+    stages: list[dict]
+    actions: list[list[dict]]
+    executes: list[list[dict]]
+    inits: list[list[dict]]
+    exec_stages: list[list[int]]
+
+    @classmethod
+    def build(cls, n: int, events: list[dict]) -> "TraceIndex":
+        index = cls([], *([[] for _ in range(n)] for _ in range(4)))
+        last_t = 0
+        for ev in events:
+            t = ev["t"]
+            # phase lookups bisect the per-node stage lists
+            if t < last_t:
+                raise ScenarioError(f"trace event at stage {t} follows stage {last_t}")
+            last_t = t
+            if ev["kind"] == "stage":
+                index.stages.append(ev)
+            elif ev["kind"] == "action":
+                u = ev["node"]
+                if not 0 <= u < n:
+                    raise ScenarioError(f"stage {t}: action of node {u}, trace has n={n}")
+                index.actions[u].append(ev)
+                if ev["action"] == "execute":
+                    index.executes[u].append(ev)
+                    index.exec_stages[u].append(t)
+                elif ev["branch"] == "init":
+                    index.inits[u].append(ev)
+        return index
+
+
+def first_stages(series: list[int]) -> list[int]:
+    """Entry i is the first stage whose min phase (``series``) is at least i,
+    for i up to the final min phase; one pass over the series."""
+    first: list[int] = []
+    for t, p in enumerate(series):
+        while len(first) <= p:
+            first.append(t)
+    return first[: series[-1] + 1]
 
 
 class RunTrace:
@@ -117,9 +180,11 @@ class RunTrace:
         self.header = header
         self.events: list[dict] = []
         self.footer: dict = {}
+        self._index: TraceIndex | None = None
 
     def add(self, event: dict) -> None:
         self.events.append(event)
+        self._index = None
 
     # -- serialization ----------------------------------------------------
 
@@ -154,35 +219,40 @@ class RunTrace:
     def horizon(self) -> int:
         return self.header["horizon"]
 
+    @property
+    def index(self) -> TraceIndex:
+        """The per-node index of the events, built on first use after the
+        last ``add``."""
+        if self._index is None:
+            self._index = TraceIndex.build(self.n, self.events)
+        return self._index
+
     def stage_events(self) -> list[dict]:
-        return [ev for ev in self.events if ev["kind"] == "stage"]
+        return list(self.index.stages)
 
     def actions(self, node: int | None = None, action: str | None = None) -> Iterator[dict]:
-        for ev in self.events:
+        events = self.events if node is None else self.index.actions[node]
+        for ev in events:
             if ev["kind"] != "action":
-                continue
-            if node is not None and ev["node"] != node:
                 continue
             if action is not None and ev["action"] != action:
                 continue
             yield ev
 
     def execute_events(self, node: int) -> list[dict]:
-        return list(self.actions(node=node, action="execute"))
+        return list(self.index.executes[node])
 
     def init_events(self, node: int) -> list[dict]:
-        return [
-            ev for ev in self.actions(node=node, action="handshake") if ev["branch"] == "init"
-        ]
+        return list(self.index.inits[node])
 
     def completed_phases(self, node: int) -> int:
-        return len(self.execute_events(node))
+        return len(self.index.executes[node])
 
     def min_completed(self) -> int:
-        return min(self.completed_phases(u) for u in range(self.n))
+        return min(map(len, self.index.executes))
 
     def phase_at_start(self, node: int, t: int) -> int:
-        return sum(1 for ev in self.execute_events(node) if ev["t"] < t)
+        return bisect_left(self.index.exec_stages[node], t)
 
     def phase_at_end(self, node: int, t: int) -> int:
         return self.phase_at_start(node, t + 1)
@@ -190,9 +260,9 @@ class RunTrace:
     def min_phase_series(self) -> list[int]:
         """Minimum phase across nodes at the start of each stage 0..horizon."""
         bumps = [[0] * (self.horizon + 1) for _ in range(self.n)]
-        for u in range(self.n):
-            for ev in self.execute_events(u):
-                bumps[u][ev["t"] + 1] += 1
+        for u, stages in enumerate(self.index.exec_stages):
+            for t in stages:
+                bumps[u][t + 1] += 1
         series = []
         phases = [0] * self.n
         for t in range(self.horizon + 1):
@@ -202,12 +272,10 @@ class RunTrace:
         return series
 
     def presence(self) -> list[frozenset[tuple[int, int]]]:
-        return [
-            frozenset((u, v) for u, v in ev["edges"]) for ev in self.stage_events()
-        ]
+        return [frozenset((u, v) for u, v in ev["edges"]) for ev in self.index.stages]
 
     def activations(self) -> list[list[int]]:
-        return [ev["activated"] for ev in self.stage_events()]
+        return [ev["activated"] for ev in self.index.stages]
 
 
 def run(
@@ -286,8 +354,7 @@ def run(
         # every node every stage, not just the activated ones.
         kinds: list[ActionKind] = []
         for u in range(n):
-            occupied = frozenset(ports.occupied(t, u))
-            kinds.append(enabled_action(states[u], occupied))
+            kinds.append(enabled_action(states[u]))
             guard_checks += 1
 
         replacements: dict[int, NodeState] = {}
@@ -375,14 +442,9 @@ def fairness_audit(trace: RunTrace, bound: int | None = None) -> FairnessReport:
     """Max activation gap per node, counted from a virtual activation at
     stage -1, compared against the scheduler's promised bound."""
     if bound is None:
-        sched = trace.header["scheduler"]
-        policy = SchedulerPolicy(
-            kind=sched["kind"],
-            seed=sched["seed"],
-            p_activate=sched["p_activate"],
-            fairness_bound=sched["fairness_bound"],
+        bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(
+            trace.n, trace.horizon
         )
-        bound = policy.implied_gap_bound(trace.n, trace.horizon)
     max_gap, worst = 0, 0
     last = [-1] * trace.n
     for ev in trace.stage_events():

@@ -113,10 +113,10 @@ def guard_execute(state: NodeState) -> bool:
     )
 
 
-def enabled_action(state: NodeState, live_ports: frozenset[int] = frozenset()) -> ActionKind:
+def enabled_action(state: NodeState) -> ActionKind:
     """The single enabled action. Guards depend only on stored state, never on
     the current topology, which is why a node is enabled under arbitrary
-    dynamics; ``live_ports`` is accepted for interface symmetry only."""
+    dynamics."""
     hs, ex = guard_handshake(state), guard_execute(state)
     if hs == ex:
         raise ProtocolViolation(f"guards not complementary: handshake={hs} execute={ex}")

@@ -174,9 +174,13 @@ def assign_ports(graph: TimeVaryingGraph) -> PortAssignment:
             for port, w in prev[u].items():
                 if edge(u, w) in edges:
                     current[u][port] = w
+        neighbors: list[list[int]] = [[] for _ in range(graph.n)]
+        for a, b in edges:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         for u in range(graph.n):
             held = set(current[u].values())
-            fresh = sorted(w for w in graph.neighbors_at(t, u) if w not in held)
+            fresh = sorted(w for w in neighbors[u] if w not in held)
             free = [p for p in range(graph.delta) if p not in current[u]]
             for w, port in zip(fresh, free):
                 current[u][port] = w

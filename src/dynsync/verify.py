@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .algorithms import SyncAlgorithm, make_algorithm, reference_run
-from .engine import RunTrace, SchedulerPolicy, run
+from .engine import RunTrace, SchedulerPolicy, first_stages, run
 from .tvg import (
     Edge,
     PortAssignment,
@@ -51,7 +52,7 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
     one-sided commitment. When a port assignment is supplied, the trace's
     embedded ground-truth port maps are cross-checked against it."""
     n, delta = trace.n, trace.header["delta"]
-    per_node = [trace.execute_events(u) for u in range(n)]
+    per_node = trace.index.executes
     completed = [len(evs) for evs in per_node]
     committed: dict[tuple[int, int], dict[int, int]] = {}
     for u in range(n):
@@ -67,7 +68,7 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
                 )
     if ports is not None:
         for u in range(n):
-            for ev in trace.init_events(u):
+            for ev in trace.index.inits[u]:
                 expected = sorted((p, v) for p, v in ports.occupied(ev["t"], u).items())
                 if [list(pair) for pair in expected] != ev["port_map"]:
                     raise ScenarioError(
@@ -104,14 +105,18 @@ def check_correctness(
     algo: SyncAlgorithm,
     inputs: Sequence[Any] | None = None,
     ports: PortAssignment | None = None,
+    extracted: ExtractedSynch | None = None,
 ) -> EquivalenceReport:
     """Byte-compare every node's phase-boundary algorithm state against a
-    fully synchronous reference run over the extracted edge history."""
-    extracted = extract_H(trace, ports)
+    fully synchronous reference run over the extracted edge history. Without
+    ``extracted`` the history is extracted here, cross-checked against
+    ``ports`` when given."""
+    if extracted is None:
+        extracted = extract_H(trace, ports)
     m = extracted.compared_phases
     reference = reference_run(algo, extracted.steps, trace.n, inputs, m)
     for u in range(trace.n):
-        events = trace.execute_events(u)
+        events = trace.index.executes[u]
         for i in range(m):
             got = events[i]["state"]
             want = algo.serialize(reference.state(u, i)).hex()
@@ -132,7 +137,7 @@ def check_sandwich(trace: RunTrace) -> InvariantReport:
     and nothing outside the phase's wait-set origin is."""
     checked, failures = 0, []
     for u in range(trace.n):
-        for ev in trace.execute_events(u):
+        for ev in trace.index.executes[u]:
             checked += 1
             committed = set(ev["committed"])
             valid = set(ev["valid"])
@@ -158,10 +163,10 @@ def check_pulled_consistency(
     for v in range(trace.n):
         init = algo.init(v, None if inputs is None else inputs[v])
         boundary[(v, -1)] = algo.serialize(init).hex()
-        for i, ev in enumerate(trace.execute_events(v)):
+        for i, ev in enumerate(trace.index.executes[v]):
             boundary[(v, i)] = ev["state"]
     for u in range(trace.n):
-        for ev in trace.execute_events(u):
+        for ev in trace.index.executes[u]:
             resolved = {p: v for p, v in ev["committed_map"]}
             for p, snapshot in ev["pulled"]:
                 checked += 1
@@ -203,7 +208,7 @@ def build_weak_nontriviality(
 class StrongReport:
     ok: bool
     phases: int
-    pairs_checked: int
+    pairs_checked: int  # every node pair per phase, absent pairs included
     missing: list[tuple[int, int, int]] = field(default_factory=list)  # u, v, phase
     extra: list[tuple[int, int, int]] = field(default_factory=list)
 
@@ -221,21 +226,38 @@ def check_strong_nontriviality(
     stage each side acts while seeing the other in the same phase, and, if
     those coincide, the next stage either side acts again. This is checked in
     both directions: every such pair must be in the committed set, and
-    nothing else may be.
+    nothing else may be. A pair absent at the lower endpoint's phase start
+    fails the first condition, so only the pairs present there are
+    evaluated.
     """
     if extracted is None:
         extracted = extract_H(trace)
     n = trace.n
+    index = trace.index
     presence = trace.presence()
-    exec_stage = [[ev["t"] for ev in trace.execute_events(u)] for u in range(n)]
-    init_stage = [[ev["t"] for ev in trace.init_events(u)] for u in range(n)]
+    exec_stage = index.exec_stages
+    init_stage = [[ev["t"] for ev in inits] for inits in index.inits]
     acts: list[list[int]] = [[] for _ in range(n)]
-    for ev in trace.stage_events():
+    for ev in index.stages:
         for u in ev["activated"]:
             acts[u].append(ev["t"])
+    adjacency: dict[int, list[list[int]]] = {}
+
+    def neighbors(t: int) -> list[list[int]]:
+        if t not in adjacency:
+            adjacent: list[list[int]] = [[] for _ in range(n)]
+            for a, b in index.stages[t]["edges"]:
+                adjacent[a].append(b)
+                adjacent[b].append(a)
+            adjacency[t] = adjacent
+        return adjacency[t]
 
     def phase_at(u: int, t: int) -> int:
-        return sum(1 for s in exec_stage[u] if s < t)
+        return bisect_left(exec_stage[u], t)
+
+    def first_act(a: int, start: int, stop: int) -> int | None:
+        k = bisect_left(acts[a], start)
+        return acts[a][k] if k < len(acts[a]) and acts[a][k] < stop else None
 
     def must_commit(u: int, v: int, i: int) -> bool:
         e = edge(u, v)
@@ -248,10 +270,11 @@ def check_strong_nontriviality(
         lo = min(t_u, t_v)
 
         def first_contact(a: int, other: int, start: int, stop: int) -> int | None:
-            for s in acts[a]:
-                if start <= s < stop and phase_at(other, s) == i:
-                    return s
-            return None
+            # other is in phase i from the stage after its phase i-1 execute
+            # through the stage of its phase i execute
+            if i > 0:
+                start = max(start, exec_stage[other][i - 1] + 1)
+            return first_act(a, start, min(stop, exec_stage[other][i] + 1))
 
         ca_u = first_contact(u, v, t_u, e_u)
         ca_v = first_contact(v, u, t_v, e_v)
@@ -260,19 +283,20 @@ def check_strong_nontriviality(
         if ca_u != ca_v:
             completion = max(ca_u, ca_v)
         else:
-            later = [s for s in acts[u] + acts[v] if ca_u < s < max(e_u, e_v)]
+            stop = max(e_u, e_v)
+            later = [s for s in (first_act(u, ca_u + 1, stop), first_act(v, ca_u + 1, stop))
+                     if s is not None]
             if not later:
                 return False
             completion = min(later)
         return all(e in presence[s] for s in range(lo, completion + 1))
 
-    missing, extra, pairs = [], [], 0
+    missing, extra = [], []
     for i in range(extracted.compared_phases):
         want = set()
         for u in range(n):
-            for v in range(u + 1, n):
-                pairs += 1
-                if must_commit(u, v, i):
+            for v in neighbors(init_stage[u][i])[u]:
+                if u < v and must_commit(u, v, i):
                     want.add((u, v))
         got = set(extracted.steps[i])
         missing += [(u, v, i) for u, v in sorted(want - got)]
@@ -280,7 +304,7 @@ def check_strong_nontriviality(
     return StrongReport(
         ok=not missing and not extra,
         phases=extracted.compared_phases,
-        pairs_checked=pairs,
+        pairs_checked=extracted.compared_phases * (n * (n - 1) // 2),
         missing=missing,
         extra=extra,
     )
@@ -312,16 +336,8 @@ def check_liveness(trace: RunTrace, target: int) -> LivenessReport:
         if b < a:
             raise ScenarioError("minimum phase decreased; trace is corrupt")
     reached = series[-1]
-    first_stage = []
-    for i in range(min(target, reached) + 1):
-        first_stage.append(next(t for t, p in enumerate(series) if p >= i))
-    sched = trace.header["scheduler"]
-    bound = SchedulerPolicy(
-        kind=sched["kind"],
-        seed=sched["seed"],
-        p_activate=sched["p_activate"],
-        fairness_bound=sched["fairness_bound"],
-    ).implied_gap_bound(trace.n, trace.horizon)
+    first_stage = first_stages(series)[: min(target, reached) + 1]
+    bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(trace.n, trace.horizon)
     window = bound * (trace.header["delta"] + 2) * trace.n * 4
     stalls = [b - a for a, b in zip(first_stage, first_stage[1:])] or [0]
     if reached < target:

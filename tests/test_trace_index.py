@@ -1,0 +1,109 @@
+"""The per-node trace index: every accessor it backs agrees with a plain
+filter of the event list, it follows ``add``, and the checkers read it
+instead of rescanning the trace once per node."""
+import json
+
+import pytest
+
+from dynsync.algorithms import make_algorithm
+from dynsync.engine import RunTrace, SchedulerPolicy, fairness_audit, run
+from dynsync.tvg import DynamicsPolicy, ScenarioError, assign_ports, generate
+from dynsync.verify import (
+    check_correctness,
+    check_liveness,
+    check_pulled_consistency,
+    check_sandwich,
+    check_strong_nontriviality,
+    extract_H,
+)
+
+
+def churn_trace(seed, n=6, delta=2, horizon=80):
+    g = generate(
+        DynamicsPolicy(kind="random-churn", seed=seed, p_drop=0.3, p_add=0.35), n, delta, horizon
+    )
+    sched = SchedulerPolicy(kind="random-subset", seed=seed + 1, p_activate=0.5, fairness_bound=4)
+    algo = make_algorithm("history-hash")
+    return run(g, assign_ports(g), sched, algo, horizon), algo
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_index_backed_accessors_match_a_brute_force_filter(seed):
+    trace, _ = churn_trace(seed)
+    actions = [ev for ev in trace.events if ev["kind"] == "action"]
+    for u in range(trace.n):
+        mine = [ev for ev in actions if ev["node"] == u]
+        executes = [ev for ev in mine if ev["action"] == "execute"]
+        assert list(trace.actions(node=u)) == mine
+        assert trace.execute_events(u) == executes
+        assert trace.init_events(u) == [
+            ev for ev in mine if ev["action"] == "handshake" and ev["branch"] == "init"
+        ]
+        for t in range(trace.horizon + 1):
+            assert trace.phase_at_start(u, t) == sum(1 for ev in executes if ev["t"] < t)
+    assert trace.stage_events() == [ev for ev in trace.events if ev["kind"] == "stage"]
+    brute_series = [
+        min(
+            sum(1 for ev in actions if ev["node"] == u and ev["action"] == "execute" and ev["t"] < t)
+            for u in range(trace.n)
+        )
+        for t in range(trace.horizon + 1)
+    ]
+    assert trace.min_phase_series() == brute_series
+
+
+def test_index_follows_add():
+    trace, _ = churn_trace(0)
+    before = trace.execute_events(0)
+    last_t = trace.events[-1]["t"]
+    event = {"kind": "action", "t": last_t, "node": 0, "action": "execute", "phase": len(before)}
+    trace.add(event)
+    assert trace.execute_events(0) == before + [event]
+    assert trace.completed_phases(0) == len(before) + 1
+    assert trace.phase_at_start(0, last_t + 1) == len(before) + 1
+
+
+def test_index_holds_the_events_themselves():
+    trace, _ = churn_trace(1)
+    trace.execute_events(2)[0]["state"] = "forged"
+    assert trace.execute_events(2)[0]["state"] == "forged"
+
+
+def test_malformed_event_order_and_node_are_named_errors():
+    trace, _ = churn_trace(2)
+    lines = trace.to_jsonl().decode().splitlines()
+    header, events = lines[0], lines[1:-1]
+    swapped = RunTrace.from_jsonl("\n".join([header, events[-1], *events[:-1]]).encode())
+    with pytest.raises(ScenarioError, match="follows stage"):
+        swapped.execute_events(0)
+    stray = json.loads(next(line for line in events if '"kind":"action"' in line))
+    stray["node"] = trace.n
+    outside = RunTrace.from_jsonl("\n".join([header, json.dumps(stray)]).encode())
+    with pytest.raises(ScenarioError, match="action of node"):
+        outside.execute_events(0)
+
+
+def scans_while_checking(monkeypatch, n):
+    trace, algo = churn_trace(3, n=n, delta=3, horizon=60)
+    calls = []
+    for name in ("actions", "stage_events"):
+        original = getattr(RunTrace, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunTrace, name, counted)
+    extracted = extract_H(trace)
+    check_correctness(trace, algo, extracted=extracted)
+    check_sandwich(trace)
+    check_pulled_consistency(trace, algo)
+    check_strong_nontriviality(trace, extracted)
+    check_liveness(trace, 1)
+    fairness_audit(trace)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_checker_trace_scans_do_not_grow_with_n(monkeypatch):
+    assert scans_while_checking(monkeypatch, 8) == scans_while_checking(monkeypatch, 16)
