@@ -29,9 +29,6 @@ class SyncAlgorithm(ABC):
     def step(self, own: Any, neighbors: Sequence[Any]) -> Any:
         """Next state from own state and the unordered neighbor states."""
 
-    def terminated(self, own: Any) -> bool:
-        return False
-
     @abstractmethod
     def serialize(self, own: Any) -> bytes:
         """Canonical byte form; equal states must serialize identically."""
@@ -41,24 +38,15 @@ class SyncAlgorithm(ABC):
 
 
 class CounterAlgo(SyncAlgorithm):
-    """Counts completed steps. Optionally terminates once the count reaches a
-    threshold; termination is monotone."""
+    """Counts completed steps."""
 
     name = "counter"
-
-    def __init__(self, terminate_at: int | None = None):
-        if terminate_at is not None and terminate_at < 0:
-            raise ScenarioError("terminate_at must be >= 0")
-        self.terminate_at = terminate_at
 
     def init(self, node: int, value: Any = None) -> int:
         return 0
 
     def step(self, own: int, neighbors: Sequence[int]) -> int:
         return own + 1
-
-    def terminated(self, own: int) -> bool:
-        return self.terminate_at is not None and own >= self.terminate_at
 
     def serialize(self, own: int) -> bytes:
         return int(own).to_bytes(8, "big")
@@ -103,10 +91,9 @@ class HistoryHashAlgo(SyncAlgorithm):
         return bytes(own)
 
 
-def make_algorithm(name: str, params: dict | None = None) -> SyncAlgorithm:
-    params = dict(params or {})
+def make_algorithm(name: str) -> SyncAlgorithm:
     if name == "counter":
-        return CounterAlgo(terminate_at=params.pop("terminate_at", None))
+        return CounterAlgo()
     if name == "max-flood":
         return MaxFloodAlgo()
     if name == "history-hash":

@@ -14,9 +14,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -34,7 +33,6 @@ from .engine import (
 from .synchronizer import ProtocolViolation
 from .tvg import (
     DynamicsPolicy,
-    PortAssignment,
     ScenarioError,
     TimeVaryingGraph,
     assign_ports,
@@ -56,8 +54,6 @@ from .verify import (
     impossibility_demo,
     extended_model_demo,
 )
-
-log = logging.getLogger("dynsync")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -96,15 +92,10 @@ class ScenarioConfig:
     algorithm: dict
     checks: dict = field(default_factory=dict)
 
-    KNOWN_KEYS = {
-        "name", "n", "delta", "horizon", "seed",
-        "dynamics", "scheduler", "algorithm", "checks",
-    }
-
     @classmethod
     def from_dict(cls, raw: dict, fallback_name: str = "scenario") -> "ScenarioConfig":
         _require(isinstance(raw, dict), "config root must be an object")
-        unknown = set(raw) - cls.KNOWN_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
         for key in ("n", "delta", "horizon", "dynamics", "scheduler", "algorithm"):
             _require(key in raw, f"config is missing {key!r}")
@@ -167,10 +158,6 @@ class ScenarioConfig:
             stages = spec.pop("stages", None)
             _require(isinstance(stages, list), "scripted dynamics needs a stages array")
             script = tuple(normalize_edges(stage) for stage in stages)
-            _require(
-                len(script) == self.horizon,
-                f"scripted dynamics has {len(script)} stages, horizon is {self.horizon}",
-            )
             policy = DynamicsPolicy(kind="scripted", script=script)
         else:
             raise ScenarioError(f"unknown dynamics kind {kind!r}")
@@ -201,10 +188,6 @@ class ScenarioConfig:
                     f"stage {t}: scripted activation references unknown nodes: {nodes}",
                 )
                 script.append(tuple(nodes))
-            _require(
-                len(script) >= self.horizon,
-                f"scripted scheduler covers {len(script)} stages, horizon is {self.horizon}",
-            )
             policy = SchedulerPolicy(kind=kind, seed=seed, script=tuple(script))
         else:
             raise ScenarioError(f"unknown scheduler kind {kind!r}")
@@ -215,7 +198,6 @@ class ScenarioConfig:
         spec = dict(self.algorithm)
         name = spec.pop("name", None)
         _require(isinstance(name, str), "algorithm needs a name")
-        params = spec.pop("params", None)
         inputs = spec.pop("inputs", None)
         _require(not spec, f"unknown algorithm keys: {sorted(spec)}")
         if inputs is not None:
@@ -223,7 +205,7 @@ class ScenarioConfig:
                 isinstance(inputs, list) and len(inputs) == self.n,
                 f"algorithm inputs must list one value per node ({self.n})",
             )
-        return make_algorithm(name, params), inputs
+        return make_algorithm(name), inputs
 
 
 @dataclass
@@ -237,7 +219,6 @@ class CheckResult:
 class ScenarioOutcome:
     config: ScenarioConfig
     trace: RunTrace
-    ports: PortAssignment
     extracted: ExtractedSynch | None
     extract_error: str | None
     checks: list[CheckResult]
@@ -279,13 +260,14 @@ def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -
         and config.checks.get(name) is not False
         and (selected is None or name in selected)
     ]
+    fair = fairness_audit(trace)
     results: list[CheckResult] = []
     for name in requested:
         if name in ("correctness", "strong-nontriviality") and extracted is None:
             results.append(CheckResult(name, False, f"history extraction failed: {extract_error}"))
             continue
         if name == "correctness":
-            equal = check_correctness(trace, algo, inputs, ports, extracted)
+            equal = check_correctness(trace, algo, inputs, extracted=extracted)
             sandwich = check_sandwich(trace)
             snapshots = check_pulled_consistency(trace, algo, inputs)
             ok = equal.ok and sandwich.ok and snapshots.ok
@@ -315,7 +297,6 @@ def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -
                 detail += " (stall exceeds heuristic window)"
             results.append(CheckResult(name, live.ok, detail))
         elif name == "fairness":
-            fair = fairness_audit(trace)
             results.append(
                 CheckResult(
                     name,
@@ -330,13 +311,12 @@ def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -
         "phases_completed": [trace.completed_phases(u) for u in range(config.n)],
         "min_phase": series[-1],
         "r_stages": first_stages(series),
-        "max_fairness_gap": fairness_audit(trace).max_gap,
+        "max_fairness_gap": fair.max_gap,
         "guard_checks": trace.footer.get("guard_checks"),
     }
     return ScenarioOutcome(
         config=config,
         trace=trace,
-        ports=ports,
         extracted=extracted,
         extract_error=extract_error,
         checks=results,
@@ -344,7 +324,7 @@ def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -
     )
 
 
-def render_report(outcome: ScenarioOutcome, extra_checks: list[CheckResult] | None = None) -> str:
+def render_report(outcome: ScenarioOutcome) -> str:
     cfg = outcome.config
     lines = [
         f"schema {REPORT_SCHEMA}",
@@ -359,11 +339,9 @@ def render_report(outcome: ScenarioOutcome, extra_checks: list[CheckResult] | No
         lines.append(f"stat {key} {value}")
     if outcome.extract_error is not None:
         lines.append(f"CHECK extraction FAIL {outcome.extract_error}")
-    all_checks = outcome.checks + (extra_checks or [])
-    for result in all_checks:
+    for result in outcome.checks:
         lines.append(f"CHECK {result.name} {'PASS' if result.ok else 'FAIL'} {result.detail}")
-    overall = outcome.ok and all(c.ok for c in extra_checks or [])
-    lines.append(f"RESULT {'PASS' if overall else 'FAIL'}")
+    lines.append(f"RESULT {'PASS' if outcome.ok else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
@@ -383,9 +361,7 @@ def history_document(outcome: ScenarioOutcome) -> dict:
     return doc
 
 
-def write_artifacts(
-    outcome: ScenarioOutcome, out_dir: Path, extra_checks: list[CheckResult] | None = None
-) -> dict[str, Path]:
+def write_artifacts(outcome: ScenarioOutcome, out_dir: Path) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     base = outcome.config.name
     paths = {
@@ -395,8 +371,22 @@ def write_artifacts(
     }
     paths["trace"].write_bytes(outcome.trace.to_jsonl())
     paths["history"].write_text(_dumps(history_document(outcome)) + "\n", encoding="utf-8")
-    paths["report"].write_text(render_report(outcome, extra_checks), encoding="utf-8")
+    paths["report"].write_text(render_report(outcome), encoding="utf-8")
     return paths
+
+
+def finish(outcome: ScenarioOutcome, out_dir: Path, quiet: bool, *written: Path) -> int:
+    """Write the artifacts, print the report (only its result line when
+    ``quiet``) and every written path, and return the exit code. ``written``
+    lists files the command wrote before the artifacts."""
+    paths = write_artifacts(outcome, out_dir)
+    report = render_report(outcome)
+    if quiet:
+        print(report.splitlines()[-1])
+    else:
+        print(report, end="")
+        print("artifacts:", *written, *paths.values())
+    return EXIT_OK if outcome.ok else EXIT_CHECK_FAILED
 
 
 # -- config loading ----------------------------------------------------------
@@ -434,28 +424,12 @@ def load_config(ref: str, seed_override: int | None = None) -> ScenarioConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.scenario, args.seed)
-        selected = set(args.checks.split(",")) if args.checks else None
-        if selected is not None:
-            unknown = selected - set(CHECK_NAMES)
-            _require(not unknown, f"unknown checks requested: {sorted(unknown)}")
-    except (ScenarioError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_INVALID
-    try:
-        outcome = execute_scenario(config, selected)
-    except (ProtocolViolation, InternalInvariantError) as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    paths = write_artifacts(outcome, Path(args.out))
-    report = render_report(outcome)
-    if args.quiet:
-        print(report.splitlines()[-1])
-    else:
-        print(report, end="")
-        print(f"artifacts: {paths['trace']} {paths['history']} {paths['report']}")
-    return EXIT_OK if outcome.ok else EXIT_CHECK_FAILED
+    config = load_config(args.scenario, args.seed)
+    selected = set(args.checks.split(",")) if args.checks else None
+    if selected is not None:
+        unknown = selected - set(CHECK_NAMES)
+        _require(not unknown, f"unknown checks requested: {sorted(unknown)}")
+    return finish(execute_scenario(config, selected), Path(args.out), args.quiet)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -491,35 +465,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / f"{name}.scenario.json"
-    config_path.write_text(
-        _dumps(
-            {
-                "name": config.name,
-                "n": n,
-                "delta": delta,
-                "horizon": config.horizon,
-                "seed": 0,
-                "dynamics": config.dynamics,
-                "scheduler": config.scheduler,
-                "algorithm": config.algorithm,
-                "checks": config.checks,
-            }
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    config_path.write_text(_dumps(asdict(config)) + "\n", encoding="utf-8")
 
-    try:
-        outcome = execute_scenario(config)
-    except (ProtocolViolation, InternalInvariantError) as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-
-    extra: list[CheckResult] = []
+    outcome = execute_scenario(config)
     want = [frozenset(normalize_edges(s)) for s in steps]
     got = outcome.extracted.steps if outcome.extracted else []
     round_trip = list(got[: len(want)]) == want and len(got) >= len(want)
-    extra.append(
+    outcome.checks.append(
         CheckResult(
             "round-trip",
             round_trip,
@@ -533,23 +485,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for u in range(n)
         for i in range(len(want))
     )
-    extra.append(
+    outcome.checks.append(
         CheckResult(
             "phase-schedule",
             schedule_ok,
             "every node finishes step i at stage 3i+2" if schedule_ok else "cadence broken",
         )
     )
-
-    paths = write_artifacts(outcome, out_dir, extra)
-    report = render_report(outcome, extra)
-    if args.quiet:
-        print(report.splitlines()[-1])
-    else:
-        print(report, end="")
-        print(f"artifacts: {config_path} {paths['trace']} {paths['history']} {paths['report']}")
-    ok = outcome.ok and all(c.ok for c in extra)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return finish(outcome, out_dir, args.quiet, config_path)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -593,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dynsync",
         description="simulate and verify the handshake synchronizer on dynamic graphs",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one scenario config and its checks")
@@ -630,15 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(name)s %(levelname)s %(message)s",
-    )
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_INVALID
+    except (ProtocolViolation, InternalInvariantError) as exc:
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

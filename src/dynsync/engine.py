@@ -248,9 +248,6 @@ class RunTrace:
     def completed_phases(self, node: int) -> int:
         return len(self.index.executes[node])
 
-    def min_completed(self) -> int:
-        return min(map(len, self.index.executes))
-
     def phase_at_start(self, node: int, t: int) -> int:
         return bisect_left(self.index.exec_stages[node], t)
 
@@ -273,9 +270,6 @@ class RunTrace:
 
     def presence(self) -> list[frozenset[tuple[int, int]]]:
         return [frozenset((u, v) for u, v in ev["edges"]) for ev in self.index.stages]
-
-    def activations(self) -> list[list[int]]:
-        return [ev["activated"] for ev in self.index.stages]
 
 
 def run(

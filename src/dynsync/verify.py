@@ -52,13 +52,16 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
     one-sided commitment. When a port assignment is supplied, the trace's
     embedded ground-truth port maps are cross-checked against it."""
     n, delta = trace.n, trace.header["delta"]
-    per_node = trace.index.executes
+    per_node, inits = trace.index.executes, trace.index.inits
     completed = [len(evs) for evs in per_node]
     committed: dict[tuple[int, int], dict[int, int]] = {}
     for u in range(n):
         for i, ev in enumerate(per_node[u]):
             if ev["phase"] != i:
                 raise ScenarioError(f"node {u}: phase counter skew at event {i}")
+            # the strong oracle reads phase i's init handshake by position
+            if i >= len(inits[u]) or inits[u][i]["phase"] != i:
+                raise ScenarioError(f"node {u}: no init handshake for completed phase {i}")
             committed[(u, i)] = {v: p for p, v in ev["committed_map"]}
     for (u, i), neighbors in sorted(committed.items()):
         for v in neighbors:

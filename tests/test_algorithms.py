@@ -24,11 +24,6 @@ class TestCounter:
             s = algo.step(s, [])
             assert s == want
 
-    def test_termination_threshold(self):
-        algo = CounterAlgo(terminate_at=2)
-        assert not algo.terminated(1)
-        assert algo.terminated(2)
-
     def test_serialization_fixed_width(self):
         algo = CounterAlgo()
         assert algo.serialize(0) == bytes(8)
@@ -93,10 +88,6 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(ScenarioError):
             make_algorithm("paxos")
-
-    def test_counter_params(self):
-        algo = make_algorithm("counter", {"terminate_at": 3})
-        assert algo.terminated(3)
 
 
 class TestReferenceRun:

@@ -172,6 +172,23 @@ class TestRunCommand:
         code = main(["run", str(path), "--out", str(tmp_path), "--checks", "vibes"])
         assert code == EXIT_CONFIG_INVALID
 
+    def test_scripted_dynamics_shorter_than_horizon_exits_config_invalid(self, tmp_path):
+        path = write_config(
+            tmp_path, name="short", dynamics={"kind": "scripted", "stages": [[[0, 1]]] * 8}
+        )
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+
+    def test_scripted_scheduler_shorter_than_horizon_exits_config_invalid(self, tmp_path):
+        path = write_config(
+            tmp_path, name="lazy", scheduler={"kind": "scripted", "stages": [[0, 1]] * 8}
+        )
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+
+    def test_algorithm_params_exit_config_invalid(self, tmp_path, capsys):
+        path = write_config(tmp_path, algorithm={"name": "counter", "params": {"terminate_at": 3}})
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+        assert "unknown algorithm keys: ['params']" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_single_edge_roundtrip(self, tmp_path):
@@ -183,6 +200,17 @@ class TestSynthCommand:
         assert "CHECK phase-schedule PASS" in report
         scenario = json.loads((tmp_path / "single-synth.scenario.json").read_text())
         assert scenario["horizon"] == 3
+
+    def test_written_scenario_reruns_byte_identical(self, tmp_path):
+        h = tmp_path / "target.json"
+        h.write_text(json.dumps({"n": 4, "delta": 2, "steps": [[[0, 1], [2, 3]], [], [[1, 2]]]}))
+        synth, rerun = tmp_path / "synth", tmp_path / "rerun"
+        assert main(["synth", str(h), "--out", str(synth)]) == EXIT_OK
+        scenario = synth / "target-synth.scenario.json"
+        assert main(["run", str(scenario), "--out", str(rerun)]) == EXIT_OK
+        for suffix in (".trace.jsonl", ".h.json"):
+            name = f"target-synth{suffix}"
+            assert (rerun / name).read_bytes() == (synth / name).read_bytes()
 
     def test_empty_history_reaches_phase_three(self, tmp_path):
         h = tmp_path / "empty3.json"

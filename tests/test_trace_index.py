@@ -83,6 +83,22 @@ def test_malformed_event_order_and_node_are_named_errors():
         outside.execute_events(0)
 
 
+def test_trace_missing_init_handshakes_is_a_named_error():
+    trace, _ = churn_trace(4, n=5)
+    assert trace.completed_phases(2) > 0
+    lines = trace.to_jsonl().decode().splitlines()
+    events = map(json.loads, lines)
+    kept = [
+        line
+        for line, ev in zip(lines, events)
+        if not (ev.get("node") == 2 and ev.get("branch") == "init")
+    ]
+    assert len(kept) < len(lines)
+    stripped = RunTrace.from_jsonl("\n".join(kept).encode())
+    with pytest.raises(ScenarioError, match="node 2: no init handshake for completed phase 0"):
+        extract_H(stripped)
+
+
 def scans_while_checking(monkeypatch, n):
     trace, algo = churn_trace(3, n=n, delta=3, horizon=60)
     calls = []
