@@ -106,9 +106,6 @@ class SyncExecution:
     """A fully synchronous run: per-node states before any step and after each
     step i, where step i uses the i-th graph in the sequence."""
 
-    algo_name: str
-    n: int
-    graphs: list[frozenset[Edge]]
     initial: list[Any]
     after_step: list[list[Any]] = field(default_factory=list)
 
@@ -131,7 +128,7 @@ def reference_run(
     if k > len(normalized):
         raise ScenarioError(f"asked for {k} steps but only {len(normalized)} graphs")
     current = [algo.init(u, None if inputs is None else inputs[u]) for u in range(n)]
-    execution = SyncExecution(algo.name, n, normalized[:k], list(current))
+    execution = SyncExecution(list(current))
     for i in range(k):
         adjacency: list[list[Any]] = [[] for _ in range(n)]
         for u, v in normalized[i]:

@@ -27,7 +27,6 @@ from .engine import (
     SchedulerPolicy,
     _dumps,
     fairness_audit,
-    first_stages,
     run,
 )
 from .synchronizer import ProtocolViolation
@@ -182,12 +181,12 @@ class ScenarioConfig:
             _require(isinstance(stages, list), "scripted scheduler needs a stages array")
             script = []
             for t, chosen in enumerate(stages):
-                nodes = sorted(set(chosen))
                 _require(
-                    all(isinstance(u, int) and 0 <= u < self.n for u in nodes),
-                    f"stage {t}: scripted activation references unknown nodes: {nodes}",
+                    isinstance(chosen, list)
+                    and all(isinstance(u, int) and 0 <= u < self.n for u in chosen),
+                    f"stage {t}: scripted activation references unknown nodes: {chosen!r}",
                 )
-                script.append(tuple(nodes))
+                script.append(tuple(sorted(set(chosen))))
             policy = SchedulerPolicy(kind=kind, seed=seed, script=tuple(script))
         else:
             raise ScenarioError(f"unknown scheduler kind {kind!r}")
@@ -202,8 +201,10 @@ class ScenarioConfig:
         _require(not spec, f"unknown algorithm keys: {sorted(spec)}")
         if inputs is not None:
             _require(
-                isinstance(inputs, list) and len(inputs) == self.n,
-                f"algorithm inputs must list one value per node ({self.n})",
+                isinstance(inputs, list)
+                and len(inputs) == self.n
+                and all(isinstance(v, int) for v in inputs),
+                f"algorithm inputs must list one integer per node ({self.n})",
             )
         return make_algorithm(name), inputs
 
@@ -306,11 +307,11 @@ def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -
                 )
             )
 
-    series = trace.min_phase_series()
+    index = trace.index
     stats = {
-        "phases_completed": [trace.completed_phases(u) for u in range(config.n)],
-        "min_phase": series[-1],
-        "r_stages": first_stages(series),
+        "phases_completed": [len(events) for events in index.executes],
+        "min_phase": len(index.phase_starts) - 1,
+        "r_stages": index.phase_starts,
         "max_fairness_gap": fair.max_gap,
         "guard_checks": trace.footer.get("guard_checks"),
     }
@@ -468,7 +469,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config_path.write_text(_dumps(asdict(config)) + "\n", encoding="utf-8")
 
     outcome = execute_scenario(config)
-    want = [frozenset(normalize_edges(s)) for s in steps]
+    want = [normalize_edges(s) for s in steps]
     got = outcome.extracted.steps if outcome.extracted else []
     round_trip = list(got[: len(want)]) == want and len(got) >= len(want)
     outcome.checks.append(
@@ -481,7 +482,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     )
     schedule_ok = all(
-        outcome.trace.phase_at_end(u, 3 * i + 2) == i + 1
+        outcome.trace.index.phase_at(u, 3 * i + 3) == i + 1
         for u in range(n)
         for i in range(len(want))
     )

@@ -56,11 +56,15 @@ class SchedulerPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("all-active", "sequential", "random-subset", "scripted"):
             raise ScenarioError(f"unknown scheduler kind {self.kind!r}")
+        if not isinstance(self.seed, int):
+            raise ScenarioError(f"scheduler seed must be an integer, got {self.seed!r}")
         if self.kind == "random-subset":
-            if not 0.0 <= self.p_activate <= 1.0:
-                raise ScenarioError(f"p_activate must be in [0,1], got {self.p_activate}")
-            if self.fairness_bound < 1:
-                raise ScenarioError(f"fairness_bound must be >= 1, got {self.fairness_bound}")
+            p = self.p_activate
+            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+                raise ScenarioError(f"p_activate must be in [0,1], got {p!r}")
+            bound = self.fairness_bound
+            if not (isinstance(bound, int) and bound >= 1):
+                raise ScenarioError(f"fairness_bound must be an integer >= 1, got {bound!r}")
 
     def implied_gap_bound(self, n: int, horizon: int) -> int:
         if self.kind == "all-active":
@@ -129,6 +133,8 @@ class TraceIndex:
     The lists hold the event dicts themselves, so an in-place edit of an
     event shows through the index. ``exec_stages[u]`` lists the stages of
     node u's execute events in order, for bisecting phase boundaries.
+    ``phase_starts[i]`` is the first stage at whose start every node has
+    completed i phases, for i up to the minimum completed count.
     """
 
     stages: list[dict]
@@ -136,16 +142,19 @@ class TraceIndex:
     executes: list[list[dict]]
     inits: list[list[dict]]
     exec_stages: list[list[int]]
+    phase_starts: list[int]
 
     @classmethod
-    def build(cls, n: int, events: list[dict]) -> "TraceIndex":
-        index = cls([], *([[] for _ in range(n)] for _ in range(4)))
+    def build(cls, n: int, horizon: int, events: list[dict]) -> "TraceIndex":
+        index = cls([], *([[] for _ in range(n)] for _ in range(4)), [0])
         last_t = 0
         for ev in events:
             t = ev["t"]
             # phase lookups bisect the per-node stage lists
             if t < last_t:
                 raise ScenarioError(f"trace event at stage {t} follows stage {last_t}")
+            if t >= horizon:
+                raise ScenarioError(f"trace event at stage {t}, horizon is {horizon}")
             last_t = t
             if ev["kind"] == "stage":
                 index.stages.append(ev)
@@ -159,17 +168,15 @@ class TraceIndex:
                     index.exec_stages[u].append(t)
                 elif ev["branch"] == "init":
                     index.inits[u].append(ev)
+        completed = min(map(len, index.exec_stages), default=0)
+        index.phase_starts += [
+            max(stages[i] for stages in index.exec_stages) + 1 for i in range(completed)
+        ]
         return index
 
-
-def first_stages(series: list[int]) -> list[int]:
-    """Entry i is the first stage whose min phase (``series``) is at least i,
-    for i up to the final min phase; one pass over the series."""
-    first: list[int] = []
-    for t, p in enumerate(series):
-        while len(first) <= p:
-            first.append(t)
-    return first[: series[-1] + 1]
+    def phase_at(self, u: int, t: int) -> int:
+        """The number of phases node u completed before stage t."""
+        return bisect_left(self.exec_stages[u], t)
 
 
 class RunTrace:
@@ -224,7 +231,7 @@ class RunTrace:
         """The per-node index of the events, built on first use after the
         last ``add``."""
         if self._index is None:
-            self._index = TraceIndex.build(self.n, self.events)
+            self._index = TraceIndex.build(self.n, self.horizon, self.events)
         return self._index
 
     def stage_events(self) -> list[dict]:
@@ -238,38 +245,6 @@ class RunTrace:
             if action is not None and ev["action"] != action:
                 continue
             yield ev
-
-    def execute_events(self, node: int) -> list[dict]:
-        return list(self.index.executes[node])
-
-    def init_events(self, node: int) -> list[dict]:
-        return list(self.index.inits[node])
-
-    def completed_phases(self, node: int) -> int:
-        return len(self.index.executes[node])
-
-    def phase_at_start(self, node: int, t: int) -> int:
-        return bisect_left(self.index.exec_stages[node], t)
-
-    def phase_at_end(self, node: int, t: int) -> int:
-        return self.phase_at_start(node, t + 1)
-
-    def min_phase_series(self) -> list[int]:
-        """Minimum phase across nodes at the start of each stage 0..horizon."""
-        bumps = [[0] * (self.horizon + 1) for _ in range(self.n)]
-        for u, stages in enumerate(self.index.exec_stages):
-            for t in stages:
-                bumps[u][t + 1] += 1
-        series = []
-        phases = [0] * self.n
-        for t in range(self.horizon + 1):
-            for u in range(self.n):
-                phases[u] += bumps[u][t]
-            series.append(min(phases))
-        return series
-
-    def presence(self) -> list[frozenset[tuple[int, int]]]:
-        return [frozenset((u, v) for u, v in ev["edges"]) for ev in self.index.stages]
 
 
 def run(
@@ -432,16 +407,14 @@ class FairnessReport:
     ok: bool
 
 
-def fairness_audit(trace: RunTrace, bound: int | None = None) -> FairnessReport:
+def fairness_audit(trace: RunTrace) -> FairnessReport:
     """Max activation gap per node, counted from a virtual activation at
-    stage -1, compared against the scheduler's promised bound."""
-    if bound is None:
-        bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(
-            trace.n, trace.horizon
-        )
+    stage -1, compared against the bound the trace header's scheduler
+    promises."""
+    bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(trace.n, trace.horizon)
     max_gap, worst = 0, 0
     last = [-1] * trace.n
-    for ev in trace.stage_events():
+    for ev in trace.index.stages:
         for u in ev["activated"]:
             gap = ev["t"] - last[u]
             if gap > max_gap:

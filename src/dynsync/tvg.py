@@ -39,7 +39,13 @@ def _validate_edge_set(edges: frozenset[Edge], n: int, delta: int, t: int) -> No
 
 
 def normalize_edges(pairs) -> frozenset[Edge]:
-    return frozenset(edge(int(u), int(v)) for u, v in pairs)
+    """The edge set named by a collection of node-index pairs."""
+    if not isinstance(pairs, (list, tuple, set, frozenset)):
+        raise ScenarioError(f"an edge set must be an array of pairs, got {pairs!r}")
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and [type(w) for w in pair] == [int, int]):
+            raise ScenarioError(f"an edge must be a pair of node indices, got {pair!r}")
+    return frozenset(edge(u, v) for u, v in pairs)
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,12 @@ class DynamicsPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("static", "random-churn", "scripted"):
             raise ScenarioError(f"unknown dynamics kind {self.kind!r}")
+        if not isinstance(self.seed, int):
+            raise ScenarioError(f"dynamics seed must be an integer, got {self.seed!r}")
         if self.kind == "random-churn":
             for name, p in (("p_drop", self.p_drop), ("p_add", self.p_add)):
-                if not 0.0 <= p <= 1.0:
-                    raise ScenarioError(f"{name} must be in [0,1], got {p}")
+                if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+                    raise ScenarioError(f"{name} must be in [0,1], got {p!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .algorithms import SyncAlgorithm, make_algorithm, reference_run
-from .engine import RunTrace, SchedulerPolicy, first_stages, run
+from .engine import RunTrace, SchedulerPolicy, run
 from .tvg import (
     Edge,
     PortAssignment,
@@ -24,6 +24,7 @@ from .tvg import (
     assign_ports,
     disconnections_at,
     edge,
+    normalize_edges,
 )
 
 
@@ -107,15 +108,13 @@ def check_correctness(
     trace: RunTrace,
     algo: SyncAlgorithm,
     inputs: Sequence[Any] | None = None,
-    ports: PortAssignment | None = None,
     extracted: ExtractedSynch | None = None,
 ) -> EquivalenceReport:
     """Byte-compare every node's phase-boundary algorithm state against a
     fully synchronous reference run over the extracted edge history. Without
-    ``extracted`` the history is extracted here, cross-checked against
-    ``ports`` when given."""
+    ``extracted`` the history is extracted here."""
     if extracted is None:
-        extracted = extract_H(trace, ports)
+        extracted = extract_H(trace)
     m = extracted.compared_phases
     reference = reference_run(algo, extracted.steps, trace.n, inputs, m)
     for u in range(trace.n):
@@ -194,7 +193,7 @@ def build_weak_nontriviality(
     exactly the given edge history: each target set is held for three stages,
     everyone acts on the first and third, only edge-incident nodes act on the
     second. Every node finishes step i at the end of stage 3i+2."""
-    normalized = [frozenset(edge(u, v) for u, v in s) for s in steps]
+    normalized = [normalize_edges(s) for s in steps]
     stages: list[frozenset[Edge]] = []
     script: list[tuple[int, ...]] = []
     everyone = tuple(range(n))
@@ -237,7 +236,7 @@ def check_strong_nontriviality(
         extracted = extract_H(trace)
     n = trace.n
     index = trace.index
-    presence = trace.presence()
+    presence = [frozenset((u, v) for u, v in ev["edges"]) for ev in index.stages]
     exec_stage = index.exec_stages
     init_stage = [[ev["t"] for ev in inits] for inits in index.inits]
     acts: list[list[int]] = [[] for _ in range(n)]
@@ -255,9 +254,6 @@ def check_strong_nontriviality(
             adjacency[t] = adjacent
         return adjacency[t]
 
-    def phase_at(u: int, t: int) -> int:
-        return bisect_left(exec_stage[u], t)
-
     def first_act(a: int, start: int, stop: int) -> int | None:
         k = bisect_left(acts[a], start)
         return acts[a][k] if k < len(acts[a]) and acts[a][k] < stop else None
@@ -268,7 +264,7 @@ def check_strong_nontriviality(
         e_u, e_v = exec_stage[u][i], exec_stage[v][i]
         if e not in presence[t_u] or e not in presence[t_v]:
             return False
-        if phase_at(v, t_u) > i or phase_at(u, t_v) > i:
+        if index.phase_at(v, t_u) > i or index.phase_at(u, t_v) > i:
             return False
         lo = min(t_u, t_v)
 
@@ -331,15 +327,12 @@ class LivenessReport:
 
 
 def check_liveness(trace: RunTrace, target: int) -> LivenessReport:
-    """The minimum phase across nodes must never decrease and must reach the
-    target before the horizon. The stall window is a harness heuristic for
-    spotting schedulers that starve progress, not a proven bound."""
-    series = trace.min_phase_series()
-    for a, b in zip(series, series[1:]):
-        if b < a:
-            raise ScenarioError("minimum phase decreased; trace is corrupt")
-    reached = series[-1]
-    first_stage = first_stages(series)[: min(target, reached) + 1]
+    """The minimum phase across nodes must reach the target before the
+    horizon. The stall window is a harness heuristic for spotting schedulers
+    that starve progress, not a proven bound."""
+    starts = trace.index.phase_starts
+    reached = len(starts) - 1
+    first_stage = starts[: min(target, reached) + 1]
     bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(trace.n, trace.horizon)
     window = bound * (trace.header["delta"] + 2) * trace.n * 4
     stalls = [b - a for a, b in zip(first_stage, first_stage[1:])] or [0]

@@ -77,7 +77,7 @@ def fleet():
 def test_criterion_1_correctness_states_byte_equal_across_fleet(fleet):
     compared = 0
     for r in fleet:
-        report = check_correctness(r.trace, r.algo, None, r.ports)
+        report = check_correctness(r.trace, r.algo, extracted=r.extracted)
         assert report.ok, f"seed {r.seed}: {report.describe()}"
         assert report.compared_phases == min(r.extracted.completed)
         compared += report.compared_phases
@@ -153,8 +153,8 @@ def test_criterion_4_weak_nontriviality_roundtrip():
         assert extracted.steps == steps, f"case {case}: history not reproduced"
         for u in range(n):
             for i in range(k):
-                assert trace.phase_at_end(u, 3 * i + 2) == i + 1
-        assert check_correctness(trace, algo, None, ports).ok
+                assert trace.index.phase_at(u, 3 * i + 3) == i + 1
+        assert check_correctness(trace, algo, extracted=extracted).ok
     print(
         "criterion 4 PASS: 20 random edge histories (n<=10, k<=8) round-tripped with "
         "every node at phase i+1 after stage 3i+2 and states matching the reference run"
@@ -162,10 +162,10 @@ def test_criterion_4_weak_nontriviality_roundtrip():
 
 
 def test_criterion_5_liveness_and_single_enabled_action(fleet):
-    worst = min(r.trace.min_phase_series()[-1] for r in fleet)
+    worst = min(len(r.trace.index.phase_starts) - 1 for r in fleet)
     for r in fleet:
-        series = r.trace.min_phase_series()
-        assert all(a <= b for a, b in zip(series, series[1:])), f"seed {r.seed}: regression"
+        starts = r.trace.index.phase_starts
+        assert all(a < b for a, b in zip(starts, starts[1:])), f"seed {r.seed}: regression"
         report = check_liveness(r.trace, LIVENESS_TARGET)
         assert report.ok, f"seed {r.seed}: reached only {report.reached}"
         # the engine evaluates both guards for every node at every stage and
@@ -207,7 +207,7 @@ def test_criterion_7_memory_shape(fleet):
     boundaries = 0
     for r in fleet:
         for u in range(r.n):
-            for ev in r.trace.execute_events(u):
+            for ev in r.trace.index.executes[u]:
                 body = bytes.fromhex(ev["mem_body"])
                 phase_bytes = bytes.fromhex(ev["mem_phase"])
                 counter = ev["phase"] + 1  # value after the commit

@@ -190,6 +190,34 @@ class TestRunCommand:
         assert "unknown algorithm keys: ['params']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("run", {"scheduler": {"kind": "random-subset", "p_activate": "x"}}),
+        ("run", {"scheduler": {"kind": "random-subset", "fairness_bound": "x"}}),
+        ("run", {"scheduler": {"kind": "scripted", "stages": [5] * 9}}),
+        ("run", {"scheduler": {"kind": "all-active", "seed": [1]}}),
+        ("run", {"dynamics": {"kind": "random-churn", "p_drop": "x"}}),
+        ("run", {"dynamics": {"kind": "random-churn", "seed": [1]}}),
+        ("run", {"algorithm": {"name": "max-flood", "inputs": ["x", "y"]}}),
+        ("run", {"dynamics": {"kind": "static", "edges": [[0, 1, 2]]}}),
+        ("run", {"dynamics": {"kind": "static", "edges": [1]}}),
+        ("run", {"dynamics": {"kind": "static", "edges": 1}}),
+        ("run", {"dynamics": {"kind": "static", "edges": [[0, 1.5]]}}),
+        ("synth", {"n": 2, "delta": 1, "steps": [[1]]}),
+        ("synth", {"n": 2, "delta": 1, "steps": [1]}),
+    ],
+)
+def test_malformed_values_exit_config_invalid(tmp_path, capsys, command, payload):
+    if command == "run":
+        path = write_config(tmp_path, **payload)
+    else:
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps(payload))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_INVALID
+    assert capsys.readouterr().err.startswith(("config error: ", "invalid history: "))
+
+
 class TestSynthCommand:
     def test_single_edge_roundtrip(self, tmp_path):
         h = tmp_path / "single.json"

@@ -96,18 +96,16 @@ class TestCadence:
             "handshake",
             "execute",
         ]
-        assert trace.phase_at_end(0, 2) == trace.phase_at_end(1, 2) == 1
+        assert trace.index.phase_at(0, 3) == trace.index.phase_at(1, 3) == 1
 
     def test_static_all_active_phase_boundary_every_three_stages(self):
         trace = static_run([(0, 1), (1, 2), (0, 2)], 3, 2, 30)
-        series = trace.min_phase_series()
-        for i in range(11):
-            # r_i: first stage whose start already has min phase i
-            assert series.index(i) == 3 * i
+        # r_i: first stage at whose start every node has completed i phases
+        assert trace.index.phase_starts == [3 * i for i in range(11)]
 
     def test_isolated_node_needs_two_stages_per_phase(self):
         trace = static_run([], 1, 1, 10)
-        assert trace.completed_phases(0) == 5
+        assert len(trace.index.executes[0]) == 5
         kinds = [ev["action"] for ev in trace.actions(node=0)]
         assert kinds == ["handshake", "execute"] * 5
 
@@ -154,14 +152,14 @@ class TestStageSemantics:
 
     def test_init_event_logs_ground_truth_port_map(self):
         trace = static_run([(0, 1), (1, 2)], 3, 2, 6)
-        first = next(iter(trace.init_events(1)))
+        first = trace.index.inits[1][0]
         assert first["port_map"] == [[0, 0], [1, 2]]
         assert first["valid"] == [0, 1]
         assert first["invalid"] == []
 
     def test_execute_event_carries_memory_shape(self):
         trace = static_run([(0, 1)], 2, 1, 6)
-        ev = trace.execute_events(0)[0]
+        ev = trace.index.executes[0][0]
         assert set(ev) >= {"committed_map", "state", "pulled", "mem_phase", "mem_body"}
         assert ev["committed_map"] == [[0, 1]]
 
@@ -182,7 +180,8 @@ class TestFairnessAudit:
             make_algorithm("counter"),
             4,
         )
-        report = fairness_audit(trace, bound=2)
+        trace.header["scheduler"].update(kind="random-subset", fairness_bound=2)
+        report = fairness_audit(trace)
         assert not report.ok
         assert report.max_gap == 4 and report.worst_node == 1
 
@@ -231,6 +230,6 @@ def test_property_random_runs_complete_with_monotone_min_phase(seed):
     )
     sched = SchedulerPolicy(kind="random-subset", seed=seed + 1, p_activate=0.5, fairness_bound=4)
     trace = run(g, assign_ports(g), sched, make_algorithm("history-hash"), 40)
-    series = trace.min_phase_series()
-    assert all(a <= b for a, b in zip(series, series[1:]))
-    assert trace.footer["final_phases"] == [trace.completed_phases(u) for u in range(n)]
+    starts = trace.index.phase_starts
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert trace.footer["final_phases"] == [len(events) for events in trace.index.executes]

@@ -1,4 +1,4 @@
-"""The per-node trace index: every accessor it backs agrees with a plain
+"""The per-node trace index: its lists and phase lookups agree with a plain
 filter of the event list, it follows ``add``, and the checkers read it
 instead of rescanning the trace once per node."""
 import json
@@ -30,43 +30,48 @@ def churn_trace(seed, n=6, delta=2, horizon=80):
 @pytest.mark.parametrize("seed", range(5))
 def test_index_backed_accessors_match_a_brute_force_filter(seed):
     trace, _ = churn_trace(seed)
+    index = trace.index
     actions = [ev for ev in trace.events if ev["kind"] == "action"]
     for u in range(trace.n):
         mine = [ev for ev in actions if ev["node"] == u]
         executes = [ev for ev in mine if ev["action"] == "execute"]
         assert list(trace.actions(node=u)) == mine
-        assert trace.execute_events(u) == executes
-        assert trace.init_events(u) == [
+        assert index.executes[u] == executes
+        assert index.inits[u] == [
             ev for ev in mine if ev["action"] == "handshake" and ev["branch"] == "init"
         ]
         for t in range(trace.horizon + 1):
-            assert trace.phase_at_start(u, t) == sum(1 for ev in executes if ev["t"] < t)
+            assert index.phase_at(u, t) == sum(1 for ev in executes if ev["t"] < t)
     assert trace.stage_events() == [ev for ev in trace.events if ev["kind"] == "stage"]
-    brute_series = [
+    min_phase = [
         min(
             sum(1 for ev in actions if ev["node"] == u and ev["action"] == "execute" and ev["t"] < t)
             for u in range(trace.n)
         )
         for t in range(trace.horizon + 1)
     ]
-    assert trace.min_phase_series() == brute_series
+    assert index.phase_starts == [
+        next(t for t, p in enumerate(min_phase) if p >= i) for i in range(min_phase[-1] + 1)
+    ]
 
 
 def test_index_follows_add():
     trace, _ = churn_trace(0)
-    before = trace.execute_events(0)
+    before = list(trace.index.executes[0])
     last_t = trace.events[-1]["t"]
     event = {"kind": "action", "t": last_t, "node": 0, "action": "execute", "phase": len(before)}
     trace.add(event)
-    assert trace.execute_events(0) == before + [event]
-    assert trace.completed_phases(0) == len(before) + 1
-    assert trace.phase_at_start(0, last_t + 1) == len(before) + 1
+    assert trace.index.executes[0] == before + [event]
+    assert trace.index.phase_at(0, last_t + 1) == len(before) + 1
 
 
 def test_index_holds_the_events_themselves():
     trace, _ = churn_trace(1)
-    trace.execute_events(2)[0]["state"] = "forged"
-    assert trace.execute_events(2)[0]["state"] == "forged"
+    built = trace.index
+    first = next(ev for ev in trace.events if ev.get("node") == 2 and ev["action"] == "execute")
+    first["state"] = "forged"
+    assert trace.index is built
+    assert built.executes[2][0]["state"] == "forged"
 
 
 def test_malformed_event_order_and_node_are_named_errors():
@@ -75,17 +80,22 @@ def test_malformed_event_order_and_node_are_named_errors():
     header, events = lines[0], lines[1:-1]
     swapped = RunTrace.from_jsonl("\n".join([header, events[-1], *events[:-1]]).encode())
     with pytest.raises(ScenarioError, match="follows stage"):
-        swapped.execute_events(0)
+        swapped.index
     stray = json.loads(next(line for line in events if '"kind":"action"' in line))
     stray["node"] = trace.n
     outside = RunTrace.from_jsonl("\n".join([header, json.dumps(stray)]).encode())
     with pytest.raises(ScenarioError, match="action of node"):
-        outside.execute_events(0)
+        outside.index
+    late = json.loads(next(line for line in events if '"action":"execute"' in line))
+    late["t"] = trace.horizon + 5
+    past = RunTrace.from_jsonl("\n".join([header, *events, json.dumps(late)]).encode())
+    with pytest.raises(ScenarioError, match=f"stage {trace.horizon + 5}, horizon is"):
+        past.index
 
 
 def test_trace_missing_init_handshakes_is_a_named_error():
     trace, _ = churn_trace(4, n=5)
-    assert trace.completed_phases(2) > 0
+    assert trace.index.executes[2]
     lines = trace.to_jsonl().decode().splitlines()
     events = map(json.loads, lines)
     kept = [

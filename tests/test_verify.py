@@ -52,7 +52,7 @@ class TestExtract:
 
     def test_one_sided_commit_raises(self):
         trace, _, _ = run_static([(0, 1)], 2, 1, 6)
-        ev = trace.execute_events(1)[0]
+        ev = trace.index.executes[1][0]
         ev["committed_map"] = []  # forge: node 1 denies the phase-0 edge
         with pytest.raises(SymmetryViolation):
             extract_H(trace)
@@ -60,7 +60,7 @@ class TestExtract:
     def test_port_map_cross_check(self):
         trace, ports, _ = run_static([(0, 1), (1, 2)], 3, 2, 6)
         extract_H(trace, ports)  # agreeing ground truth is accepted
-        ev = next(iter(trace.init_events(1)))
+        ev = trace.index.inits[1][0]
         ev["port_map"] = [[0, 2], [1, 0]]  # swapped, contradicts the assignment
         with pytest.raises(ScenarioError):
             extract_H(trace, ports)
@@ -69,19 +69,19 @@ class TestExtract:
 class TestCorrectness:
     def test_passes_on_faithful_run(self):
         trace, ports, algo = run_static([(0, 1), (1, 2)], 3, 2, 15, "history-hash")
-        report = check_correctness(trace, algo, None, ports)
+        report = check_correctness(trace, algo, extracted=extract_H(trace, ports))
         assert report.ok and report.compared_phases == 5
 
     def test_detects_corrupted_state(self):
         trace, ports, algo = run_static([(0, 1)], 2, 1, 9, "history-hash")
-        trace.execute_events(1)[1]["state"] = "00" * 16
-        report = check_correctness(trace, algo, None, ports)
+        trace.index.executes[1][1]["state"] = "00" * 16
+        report = check_correctness(trace, algo, extracted=extract_H(trace, ports))
         assert not report.ok
         assert report.divergence[0] == 1 and report.divergence[1] == 1
 
     def test_detects_stale_snapshot(self):
         trace, _, algo = run_static([(0, 1)], 2, 1, 9, "history-hash")
-        ev = trace.execute_events(0)[1]
+        ev = trace.index.executes[0][1]
         ev["pulled"] = [[0, "11" * 16]]
         report = check_pulled_consistency(trace, algo)
         assert not report.ok
@@ -90,7 +90,7 @@ class TestCorrectness:
     def test_sandwich_holds_and_violations_are_caught(self):
         trace, _, _ = run_static([(0, 1)], 2, 1, 9)
         assert check_sandwich(trace).ok
-        ev = trace.execute_events(0)[0]
+        ev = trace.index.executes[0][0]
         ev["committed"] = []  # forge: waited-on port missing from the commit
         report = check_sandwich(trace)
         assert not report.ok and "not all committed" in report.failures[0]
@@ -139,15 +139,15 @@ class TestStrongNontriviality:
     def test_forged_missing_edge_detected(self):
         trace, _, _ = run_static([(0, 1)], 2, 1, 6)
         for u in (0, 1):
-            trace.execute_events(u)[0]["committed_map"] = []
+            trace.index.executes[u][0]["committed_map"] = []
         report = check_strong_nontriviality(trace)
         assert not report.ok
         assert (0, 1, 0) in report.missing
 
     def test_forged_extra_edge_detected(self):
         trace, _, _ = run_static([], 2, 1, 6)
-        trace.execute_events(0)[0]["committed_map"] = [[0, 1]]
-        trace.execute_events(1)[0]["committed_map"] = [[0, 0]]
+        trace.index.executes[0][0]["committed_map"] = [[0, 1]]
+        trace.index.executes[1][0]["committed_map"] = [[0, 0]]
         report = check_strong_nontriviality(trace)
         assert not report.ok
         assert (0, 1, 0) in report.extra
@@ -159,21 +159,21 @@ class TestWeakNontriviality:
         ports = assign_ports(graph)
         algo = make_algorithm(algo_name)
         trace = run(graph, ports, scheduler, algo, graph.lifetime)
-        return trace, extract_H(trace, ports), algo, ports
+        return trace, extract_H(trace, ports), algo
 
     def test_single_edge_three_stages(self):
-        trace, ex, _, _ = self.roundtrip(2, 1, [[(0, 1)]])
+        trace, ex, _ = self.roundtrip(2, 1, [[(0, 1)]])
         assert trace.horizon == 3
         assert ex.steps == [frozenset({(0, 1)})]
-        assert trace.phase_at_end(0, 2) == trace.phase_at_end(1, 2) == 1
+        assert trace.index.phase_at(0, 3) == trace.index.phase_at(1, 3) == 1
 
     def test_empty_history_still_drives_phases(self):
-        trace, ex, _, _ = self.roundtrip(3, 1, [[], [], []])
+        trace, ex, _ = self.roundtrip(3, 1, [[], [], []])
         assert trace.horizon == 9
         assert ex.steps == [frozenset()] * 3
         for u in range(3):
             for i in range(3):
-                assert trace.phase_at_end(u, 3 * i + 2) == i + 1
+                assert trace.index.phase_at(u, 3 * i + 3) == i + 1
 
     def test_random_histories_roundtrip_with_reference_states(self):
         rng = random.Random(40)
@@ -181,9 +181,9 @@ class TestWeakNontriviality:
             n = rng.randint(2, 8)
             k = rng.randint(1, 6)
             steps = random_edge_sets(rng, n, 3, k)
-            trace, ex, algo, ports = self.roundtrip(n, 3, steps)
+            trace, ex, algo = self.roundtrip(n, 3, steps)
             assert ex.steps == steps
-            assert check_correctness(trace, algo, None, ports).ok
+            assert check_correctness(trace, algo, extracted=ex).ok
 
     def test_degree_violation_rejected(self):
         with pytest.raises(ScenarioError):
@@ -230,7 +230,7 @@ class TestMutationSelfTest:
                 caught += 1
                 continue
             ok = (
-                check_correctness(trace, algo, None, ports).ok
+                check_correctness(trace, algo, extracted=ex).ok
                 and check_pulled_consistency(trace, algo).ok
                 and check_sandwich(trace).ok
                 and check_strong_nontriviality(trace, ex).ok
@@ -242,7 +242,7 @@ class TestMutationSelfTest:
         for seed in range(10):
             trace, ports, algo = run_churn(seed, horizon=60)
             ex = extract_H(trace, ports)
-            assert check_correctness(trace, algo, None, ports).ok
+            assert check_correctness(trace, algo, extracted=ex).ok
             assert check_pulled_consistency(trace, algo).ok
             assert check_sandwich(trace).ok
             assert check_strong_nontriviality(trace, ex).ok
