@@ -119,19 +119,14 @@ def reference_run(
     graphs: Sequence[frozenset[Edge] | Iterable[Edge]],
     n: int,
     inputs: Sequence[Any] | None = None,
-    steps: int | None = None,
 ) -> SyncExecution:
     """Run the algorithm synchronously: state after step i is produced from
     the states after step i-1 and the step-i graph's neighborhoods."""
-    normalized = [frozenset(g) for g in graphs]
-    k = len(normalized) if steps is None else steps
-    if k > len(normalized):
-        raise ScenarioError(f"asked for {k} steps but only {len(normalized)} graphs")
     current = [algo.init(u, None if inputs is None else inputs[u]) for u in range(n)]
     execution = SyncExecution(list(current))
-    for i in range(k):
+    for graph in graphs:
         adjacency: list[list[Any]] = [[] for _ in range(n)]
-        for u, v in normalized[i]:
+        for u, v in frozenset(graph):
             adjacency[u].append(current[v])
             adjacency[v].append(current[u])
         current = [

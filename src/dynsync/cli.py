@@ -34,7 +34,6 @@ from .tvg import (
     DynamicsPolicy,
     ScenarioError,
     TimeVaryingGraph,
-    assign_ports,
     generate,
     normalize_edges,
 )
@@ -113,6 +112,13 @@ class ScenarioConfig:
         return cfg
 
     def validate(self) -> None:
+        # the name becomes the artifacts' file names inside the output directory
+        _require(
+            isinstance(self.name, str)
+            and Path(self.name).name == self.name
+            and self.name not in ("", ".", ".."),
+            f"name must be a plain file name, got {self.name!r}",
+        )
         _require(isinstance(self.n, int) and self.n >= 1, f"n must be >= 1, got {self.n!r}")
         _require(
             isinstance(self.delta, int) and self.delta >= 1,
@@ -130,11 +136,15 @@ class ScenarioConfig:
         _require(isinstance(self.checks, dict), "checks must be an object")
         unknown = set(self.checks) - set(CHECK_NAMES)
         _require(not unknown, f"unknown checks: {sorted(unknown)}")
-        liveness = self.checks.get("liveness")
-        _require(
-            liveness is None or (isinstance(liveness, int) and liveness >= 0),
-            "liveness check takes a non-negative integer target",
-        )
+        for name, value in self.checks.items():
+            if name == "liveness":
+                # JSON true is a Python int, so the target's type must be int itself
+                _require(
+                    value is False or (type(value) is int and value >= 0),
+                    f"liveness check takes false or a non-negative integer target, got {value!r}",
+                )
+            else:
+                _require(isinstance(value, bool), f"{name} check takes a boolean, got {value!r}")
 
     # -- builders ----------------------------------------------------------
 
@@ -233,32 +243,28 @@ class ScenarioOutcome:
 def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -> ScenarioOutcome:
     """Run the engine and the configured checks; no file I/O here."""
     graph = config.build_graph()
-    ports = assign_ports(graph)
     scheduler = config.build_scheduler()
     algo, inputs = config.build_algorithm()
     trace = run(
         graph,
-        ports,
         scheduler,
         algo,
-        config.horizon,
         inputs=inputs,
         header_extra={"scenario": config.name, "seed": config.seed},
     )
 
     extracted, extract_error = None, None
     try:
-        extracted = extract_H(trace, ports)
+        extracted = extract_H(trace, graph.ports)
     except (SymmetryViolation, ScenarioError) as exc:
         extract_error = str(exc)
 
-    # identity tests: a liveness target of 0 is a real request, but JSON
+    # identity test: a liveness target of 0 is a real request, but JSON
     # false/absent is not, and 0 == False in Python
     requested = [
         name
         for name in CHECK_NAMES
-        if config.checks.get(name) is not None
-        and config.checks.get(name) is not False
+        if config.checks.get(name, False) is not False
         and (selected is None or name in selected)
     ]
     fair = fairness_audit(trace)
@@ -291,8 +297,7 @@ def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -
                 detail = f"missing {strong.missing[:3]} extra {strong.extra[:3]}"
             results.append(CheckResult(name, strong.ok, detail))
         elif name == "liveness":
-            target = config.checks["liveness"]
-            live = check_liveness(trace, int(target))
+            live = check_liveness(trace, config.checks["liveness"])
             detail = live.describe()
             if not live.stall_ok:
                 detail += " (stall exceeds heuristic window)"
@@ -362,7 +367,7 @@ def history_document(outcome: ScenarioOutcome) -> dict:
     return doc
 
 
-def write_artifacts(outcome: ScenarioOutcome, out_dir: Path) -> dict[str, Path]:
+def write_artifacts(outcome: ScenarioOutcome, out_dir: Path, report: str) -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     base = outcome.config.name
     paths = {
@@ -372,7 +377,7 @@ def write_artifacts(outcome: ScenarioOutcome, out_dir: Path) -> dict[str, Path]:
     }
     paths["trace"].write_bytes(outcome.trace.to_jsonl())
     paths["history"].write_text(_dumps(history_document(outcome)) + "\n", encoding="utf-8")
-    paths["report"].write_text(render_report(outcome), encoding="utf-8")
+    paths["report"].write_text(report, encoding="utf-8")
     return paths
 
 
@@ -380,8 +385,8 @@ def finish(outcome: ScenarioOutcome, out_dir: Path, quiet: bool, *written: Path)
     """Write the artifacts, print the report (only its result line when
     ``quiet``) and every written path, and return the exit code. ``written``
     lists files the command wrote before the artifacts."""
-    paths = write_artifacts(outcome, out_dir)
     report = render_report(outcome)
+    paths = write_artifacts(outcome, out_dir, report)
     if quiet:
         print(report.splitlines()[-1])
     else:
@@ -498,17 +503,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     name = args.protocol
-    try:
-        if name == HANDSHAKE_DEMO:
-            record = extended_model_demo()
-        elif name in CLASSIC_PROTOCOLS:
-            record = impossibility_demo(name)
-        else:
-            known = sorted(CLASSIC_PROTOCOLS) + [HANDSHAKE_DEMO]
-            raise ScenarioError(f"unknown protocol {name!r} (known: {', '.join(known)})")
-    except ScenarioError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_INVALID
+    if name == HANDSHAKE_DEMO:
+        record = extended_model_demo()
+    elif name in CLASSIC_PROTOCOLS:
+        record = impossibility_demo(name)
+    else:
+        known = sorted(CLASSIC_PROTOCOLS) + [HANDSHAKE_DEMO]
+        raise ScenarioError(f"unknown protocol {name!r} (known: {', '.join(known)})")
     record["note"] = (
         "demonstration on the paired two-node executions only, "
         "not a prover over all protocols"

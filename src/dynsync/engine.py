@@ -29,7 +29,7 @@ from .synchronizer import (
     handshake,
     serialize_sync_state,
 )
-from .tvg import PortAssignment, ScenarioError, TimeVaryingGraph, disconnections_at
+from .tvg import ScenarioError, TimeVaryingGraph, disconnections_at
 
 TRACE_SCHEMA = "trace/v1"
 
@@ -249,20 +249,14 @@ class RunTrace:
 
 def run(
     graph: TimeVaryingGraph,
-    ports: PortAssignment,
     scheduler: SchedulerPolicy,
     algo: SyncAlgorithm,
-    horizon: int,
     inputs: list[Any] | None = None,
     header_extra: dict | None = None,
 ) -> RunTrace:
-    """Execute the synchronizer for ``horizon`` stages and return the trace.
-
-    Stages past the graph's lifetime reuse its last edge set; the header
-    records where that freeze begins.
-    """
-    if horizon < 1:
-        raise ScenarioError(f"horizon must be >= 1, got {horizon}")
+    """Execute the synchronizer for every stage of the graph's lifetime and
+    return the trace."""
+    ports, horizon = graph.ports, graph.lifetime
     if scheduler.kind == "scripted" and len(scheduler.script) < horizon:
         raise ScenarioError(
             f"scheduler script covers {len(scheduler.script)} stages, horizon is {horizon}"
@@ -278,7 +272,9 @@ def run(
         "horizon": horizon,
         "algorithm": algo.name,
         "inputs": inputs,
-        "frozen_from": graph.lifetime if horizon > graph.lifetime else None,
+        # No run outlasts its graph, so no stage reuses a frozen edge set.
+        # The key stays so that trace bytes and their pinned digests hold.
+        "frozen_from": None,
         "scheduler": {
             "kind": scheduler.kind,
             "seed": scheduler.seed,
@@ -302,7 +298,7 @@ def run(
 
     for t in range(horizon):
         edges = graph.edges_at(t)
-        newly_dropped = disconnections_at(graph, ports, t)
+        newly_dropped = disconnections_at(graph, t)
         for u in range(n):
             detectors[u] |= newly_dropped[u]
 

@@ -8,6 +8,7 @@ reappears it may land on a different port.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -94,11 +95,15 @@ class TimeVaryingGraph:
     def lifetime(self) -> int:
         return len(self.stages)
 
+    @functools.cached_property
+    def ports(self) -> "PortAssignment":
+        """The graph's port assignment, built on first use."""
+        return assign_ports(self)
+
     def edges_at(self, t: int) -> frozenset[Edge]:
-        """Edge set for stage t; stages past the end freeze the last set."""
         if t < 0:
             raise IndexError(t)
-        return self.stages[min(t, len(self.stages) - 1)]
+        return self.stages[t]
 
     def neighbors_at(self, t: int, u: int) -> set[int]:
         return {w for a, b in self.edges_at(t) for w in (a, b) if u in (a, b) and w != u}
@@ -151,12 +156,10 @@ class PortAssignment:
     behind each occupied port. Available to the engine and verifiers only;
     node-local code never sees node identities."""
 
-    delta: int
     by_stage: list[list[dict[int, int]]] = field(default_factory=list)
 
     def occupied(self, t: int, u: int) -> dict[int, int]:
-        """port -> neighbor for node u at stage t (frozen past the end)."""
-        t = min(t, len(self.by_stage) - 1)
+        """port -> neighbor for node u at stage t."""
         return self.by_stage[t][u]
 
     def node_behind(self, t: int, u: int, port: int) -> int:
@@ -173,7 +176,7 @@ def assign_ports(graph: TimeVaryingGraph) -> PortAssignment:
     """Deterministic port assignment: persisting edges keep their ports; each
     new edge takes the lowest free port at each endpoint, new neighbors
     processed in ascending index order."""
-    assignment = PortAssignment(delta=graph.delta)
+    assignment = PortAssignment()
     prev: list[dict[int, int]] = [{} for _ in range(graph.n)]
     for t in range(graph.lifetime):
         edges = graph.edges_at(t)
@@ -197,12 +200,12 @@ def assign_ports(graph: TimeVaryingGraph) -> PortAssignment:
     return assignment
 
 
-def disconnections_at(graph: TimeVaryingGraph, ports: PortAssignment, t: int) -> list[set[int]]:
+def disconnections_at(graph: TimeVaryingGraph, t: int) -> list[set[int]]:
     """Per-node set of port indices whose edge was present at stage t-1 and is
     gone at stage t. Empty at t=0."""
     if t == 0:
         return [set() for _ in range(graph.n)]
-    edges = graph.edges_at(t)
+    edges, ports = graph.edges_at(t), graph.ports
     out: list[set[int]] = []
     for u in range(graph.n):
         gone = {

@@ -21,7 +21,6 @@ from .tvg import (
     PortAssignment,
     ScenarioError,
     TimeVaryingGraph,
-    assign_ports,
     disconnections_at,
     edge,
     normalize_edges,
@@ -38,8 +37,6 @@ class ExtractedSynch:
     phase, up to the minimum phase every node completed. Later phases some
     nodes completed are reported but not comparable."""
 
-    n: int
-    delta: int
     steps: list[frozenset[Edge]]
     completed: list[int]
 
@@ -88,7 +85,7 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
         if any(d > delta for d in degree):
             raise ScenarioError(f"phase {i}: committed graph exceeds degree bound {delta}")
         steps.append(frozenset(edges))
-    return ExtractedSynch(n=n, delta=delta, steps=steps, completed=completed)
+    return ExtractedSynch(steps=steps, completed=completed)
 
 
 @dataclass
@@ -116,7 +113,7 @@ def check_correctness(
     if extracted is None:
         extracted = extract_H(trace)
     m = extracted.compared_phases
-    reference = reference_run(algo, extracted.steps, trace.n, inputs, m)
+    reference = reference_run(algo, extracted.steps, trace.n, inputs)
     for u in range(trace.n):
         events = trace.index.executes[u]
         for i in range(m):
@@ -447,20 +444,19 @@ def _demo_scripts() -> dict[str, tuple[tuple[int, ...], ...]]:
 
 def _run_classic(protocol: ClassicPullProtocol, script: tuple[tuple[int, ...], ...]) -> dict:
     graph = _demo_graph()
-    ports = assign_ports(graph)
     states = [protocol.init(u) for u in range(2)]
     detectors: list[set[int]] = [set(), set()]
     streams: dict[int, list[str]] = {0: [], 1: []}
     decisions: dict[int, tuple[int, int] | None] = {0: None, 1: None}
     for t in range(DEMO_HORIZON):
         for u in range(2):
-            detectors[u] |= disconnections_at(graph, ports, t)[u]
+            detectors[u] |= disconnections_at(graph, t)[u]
         exposed = [protocol.exposed(states[u]) for u in range(2)]
         new_states = list(states)
         for u in script[t]:
             obs = Observation(
                 ports=tuple(
-                    (p, exposed[v].hex()) for p, v in sorted(ports.occupied(t, u).items())
+                    (p, exposed[v].hex()) for p, v in sorted(graph.ports.occupied(t, u).items())
                 ),
                 dropped=tuple(sorted(detectors[u])),
             )
@@ -521,12 +517,11 @@ def extended_model_demo() -> dict:
     the classic model forces does not arise."""
     algo = make_algorithm("counter")
     graph = _demo_graph()
-    ports = assign_ports(graph)
     outcome = {}
     for key, script in _demo_scripts().items():
         scheduler = SchedulerPolicy(kind="scripted", script=script)
-        trace = run(graph, ports, scheduler, algo, DEMO_HORIZON)
-        extracted = extract_H(trace, ports)
+        trace = run(graph, scheduler, algo)
+        extracted = extract_H(trace, graph.ports)
         committed = [sorted(map(list, step)) for step in extracted.steps]
         outcome[key] = {
             "committed_per_phase": committed,

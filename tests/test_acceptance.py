@@ -11,7 +11,7 @@ from conftest import brute_force_run, random_edge_sets
 from dynsync.algorithms import make_algorithm, reference_run
 from dynsync.cli import EXIT_OK, main
 from dynsync.engine import SchedulerPolicy, run
-from dynsync.tvg import DynamicsPolicy, assign_ports, generate
+from dynsync.tvg import DynamicsPolicy, generate
 from dynsync.verify import (
     build_weak_nontriviality,
     check_correctness,
@@ -34,7 +34,6 @@ class FleetRun:
     n: int
     delta: int
     trace: object
-    ports: object
     algo: object
     extracted: object
 
@@ -54,21 +53,19 @@ def fleet():
             delta,
             HORIZON,
         )
-        ports = assign_ports(graph)
         algo = make_algorithm("history-hash")
         scheduler = SchedulerPolicy(
             kind="random-subset", seed=seed + 1, p_activate=0.6, fairness_bound=8
         )
-        trace = run(graph, ports, scheduler, algo, HORIZON)
+        trace = run(graph, scheduler, algo)
         runs.append(
             FleetRun(
                 seed=seed,
                 n=n,
                 delta=delta,
                 trace=trace,
-                ports=ports,
                 algo=algo,
-                extracted=extract_H(trace, ports),  # raises loudly on asymmetry
+                extracted=extract_H(trace, graph.ports),  # raises loudly on asymmetry
             )
         )
     return runs
@@ -111,15 +108,14 @@ def test_criterion_3_strong_nontriviality(fleet):
         graph = generate(
             DynamicsPolicy(kind="static", initial=tuple(sorted(edges))), n, delta, 100
         )
-        ports = assign_ports(graph)
         scheduler = SchedulerPolicy(
             kind="random-subset",
             seed=rng.randint(0, 10**6),
             p_activate=rng.uniform(0.3, 0.8),
             fairness_bound=rng.randint(2, 8),
         )
-        trace = run(graph, ports, scheduler, make_algorithm("history-hash"), 100)
-        extracted = extract_H(trace, ports)
+        trace = run(graph, scheduler, make_algorithm("history-hash"))
+        extracted = extract_H(trace, graph.ports)
         assert extracted.compared_phases > 0
         assert all(step == edges for step in extracted.steps), "static edge set not reproduced"
         assert check_strong_nontriviality(trace, extracted).ok
@@ -146,10 +142,9 @@ def test_criterion_4_weak_nontriviality_roundtrip():
         k = rng.randint(1, 8)
         steps = random_edge_sets(rng, n, delta, k)
         graph, scheduler = build_weak_nontriviality(n, delta, steps)
-        ports = assign_ports(graph)
         algo = make_algorithm("history-hash")
-        trace = run(graph, ports, scheduler, algo, graph.lifetime)
-        extracted = extract_H(trace, ports)
+        trace = run(graph, scheduler, algo)
+        extracted = extract_H(trace, graph.ports)
         assert extracted.steps == steps, f"case {case}: history not reproduced"
         for u in range(n):
             for i in range(k):

@@ -28,7 +28,7 @@ def write_config(tmp_path, name="tiny", **overrides):
         "checks": {"correctness": True, "liveness": 3},
     }
     cfg.update(overrides)
-    path = tmp_path / f"{name}.json"
+    path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     return path
 
@@ -206,6 +206,11 @@ class TestRunCommand:
         ("run", {"dynamics": {"kind": "static", "edges": [[0, 1.5]]}}),
         ("synth", {"n": 2, "delta": 1, "steps": [[1]]}),
         ("synth", {"n": 2, "delta": 1, "steps": [1]}),
+        ("run", {"name": None}),
+        ("run", {"name": "../escaped"}),
+        ("run", {"name": ".."}),
+        ("run", {"checks": {"liveness": True}}),
+        ("run", {"checks": {"correctness": 0}}),
     ],
 )
 def test_malformed_values_exit_config_invalid(tmp_path, capsys, command, payload):

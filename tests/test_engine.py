@@ -10,16 +10,14 @@ from dynsync.tvg import (
     DynamicsPolicy,
     ScenarioError,
     TimeVaryingGraph,
-    assign_ports,
     generate,
 )
 
 
 def static_run(edges, n, delta, horizon, scheduler=None, algo_name="counter"):
     g = generate(DynamicsPolicy(kind="static", initial=tuple(edges)), n, delta, horizon)
-    ports = assign_ports(g)
     scheduler = scheduler or SchedulerPolicy(kind="all-active")
-    return run(g, ports, scheduler, make_algorithm(algo_name), horizon)
+    return run(g, scheduler, make_algorithm(algo_name))
 
 
 class TestScheduler:
@@ -79,12 +77,12 @@ class TestTraceFormat:
         b = static_run([(0, 1), (1, 2)], 3, 2, 20, SchedulerPolicy(kind="random-subset", seed=4))
         assert a.to_jsonl() == b.to_jsonl()
 
-    def test_header_records_freeze_point(self):
-        g = TimeVaryingGraph(2, 1, (frozenset({(0, 1)}),))
-        trace = run(g, assign_ports(g), SchedulerPolicy(kind="all-active"), make_algorithm("counter"), 5)
-        assert trace.header["frozen_from"] == 1
-        long_enough = static_run([(0, 1)], 2, 1, 5)
-        assert long_enough.header["frozen_from"] is None
+    def test_run_lasts_exactly_the_graph_lifetime(self):
+        g = TimeVaryingGraph(2, 1, (frozenset({(0, 1)}),) * 5)
+        trace = run(g, SchedulerPolicy(kind="all-active"), make_algorithm("counter"))
+        assert trace.header["horizon"] == trace.footer["stages"] == g.lifetime == 5
+        assert len(trace.index.stages) == 5
+        assert trace.header["frozen_from"] is None
 
 
 class TestCadence:
@@ -127,7 +125,7 @@ class TestStageSemantics:
     def test_disconnect_folded_into_both_endpoints(self):
         stages = (frozenset({(0, 1)}), frozenset(), frozenset())
         g = TimeVaryingGraph(2, 1, stages)
-        trace = run(g, assign_ports(g), SchedulerPolicy(kind="all-active"), make_algorithm("counter"), 3)
+        trace = run(g, SchedulerPolicy(kind="all-active"), make_algorithm("counter"))
         drop_events = [ev for ev in trace.stage_events() if ev["disconnects"]]
         assert drop_events[0]["t"] == 1
         assert drop_events[0]["disconnects"] == [[0, [0]], [1, [0]]]
@@ -139,13 +137,7 @@ class TestStageSemantics:
         stages = (frozenset({(0, 1)}), frozenset(), frozenset(), frozenset())
         g = TimeVaryingGraph(2, 1, stages)
         script = ((0, 1), (0,), (1,), ())
-        trace = run(
-            g,
-            assign_ports(g),
-            SchedulerPolicy(kind="scripted", script=script),
-            make_algorithm("counter"),
-            4,
-        )
+        trace = run(g, SchedulerPolicy(kind="scripted", script=script), make_algorithm("counter"))
         # node 1 sleeps through stage 1, so it absorbs the drop at stage 2
         ev1 = next(ev for ev in trace.actions(node=1) if ev["t"] == 2)
         assert ev1["drops_absorbed"] == [0]
@@ -173,13 +165,7 @@ class TestFairnessAudit:
     def test_bound_violation_detected(self):
         script = ((0,), (0,), (0,), (0, 1))
         g = TimeVaryingGraph(2, 1, (frozenset({(0, 1)}),) * 4)
-        trace = run(
-            g,
-            assign_ports(g),
-            SchedulerPolicy(kind="scripted", script=script),
-            make_algorithm("counter"),
-            4,
-        )
+        trace = run(g, SchedulerPolicy(kind="scripted", script=script), make_algorithm("counter"))
         trace.header["scheduler"].update(kind="random-subset", fairness_bound=2)
         report = fairness_audit(trace)
         assert not report.ok
@@ -187,33 +173,21 @@ class TestFairnessAudit:
 
 
 class TestRunValidation:
-    def test_horizon_must_be_positive(self):
-        g = TimeVaryingGraph(2, 1, (frozenset(),))
+    def test_graph_without_stages_rejected(self):
+        """A run lasts its graph's lifetime, so a zero-stage run is ruled
+        out where the graph is built."""
         with pytest.raises(ScenarioError):
-            run(g, assign_ports(g), SchedulerPolicy(kind="all-active"), make_algorithm("counter"), 0)
+            TimeVaryingGraph(2, 1, ())
 
     def test_short_script_rejected_up_front(self):
         g = TimeVaryingGraph(2, 1, (frozenset(),) * 5)
         with pytest.raises(ScenarioError):
-            run(
-                g,
-                assign_ports(g),
-                SchedulerPolicy(kind="scripted", script=((0,),)),
-                make_algorithm("counter"),
-                5,
-            )
+            run(g, SchedulerPolicy(kind="scripted", script=((0,),)), make_algorithm("counter"))
 
     def test_inputs_must_cover_all_nodes(self):
         g = TimeVaryingGraph(3, 1, (frozenset(),))
         with pytest.raises(ScenarioError):
-            run(
-                g,
-                assign_ports(g),
-                SchedulerPolicy(kind="all-active"),
-                make_algorithm("max-flood"),
-                1,
-                inputs=[1, 2],
-            )
+            run(g, SchedulerPolicy(kind="all-active"), make_algorithm("max-flood"), inputs=[1, 2])
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,7 +203,7 @@ def test_property_random_runs_complete_with_monotone_min_phase(seed):
         40,
     )
     sched = SchedulerPolicy(kind="random-subset", seed=seed + 1, p_activate=0.5, fairness_bound=4)
-    trace = run(g, assign_ports(g), sched, make_algorithm("history-hash"), 40)
+    trace = run(g, sched, make_algorithm("history-hash"))
     starts = trace.index.phase_starts
     assert all(a < b for a, b in zip(starts, starts[1:]))
     assert trace.footer["final_phases"] == [len(events) for events in trace.index.executes]

@@ -1,0 +1,12 @@
+"""README's library sketch runs as written against the package."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_sketch_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -7,7 +7,7 @@ import pytest
 
 from dynsync.algorithms import make_algorithm
 from dynsync.engine import RunTrace, SchedulerPolicy, fairness_audit, run
-from dynsync.tvg import DynamicsPolicy, ScenarioError, assign_ports, generate
+from dynsync.tvg import DynamicsPolicy, ScenarioError, generate
 from dynsync.verify import (
     check_correctness,
     check_liveness,
@@ -24,7 +24,7 @@ def churn_trace(seed, n=6, delta=2, horizon=80):
     )
     sched = SchedulerPolicy(kind="random-subset", seed=seed + 1, p_activate=0.5, fairness_bound=4)
     algo = make_algorithm("history-hash")
-    return run(g, assign_ports(g), sched, algo, horizon), algo
+    return run(g, sched, algo), algo
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -45,10 +45,12 @@ class TestGraphValidation:
         with pytest.raises(ScenarioError):
             TimeVaryingGraph(3, 1, (star,))
 
-    def test_stage_past_lifetime_freezes_last_set(self):
+    def test_stage_past_lifetime_rejected(self):
         g = TimeVaryingGraph(2, 1, (frozenset(), frozenset({(0, 1)})))
         assert g.lifetime == 2
-        assert g.edges_at(1) == g.edges_at(50) == frozenset({(0, 1)})
+        assert g.edges_at(1) == frozenset({(0, 1)})
+        with pytest.raises(IndexError):
+            g.edges_at(2)
 
     def test_neighbors_at(self):
         g = TimeVaryingGraph(3, 2, (frozenset({(0, 1), (1, 2)}),))
@@ -94,6 +96,11 @@ class TestGenerate:
 
 
 class TestPorts:
+    def test_graph_builds_its_ports_once(self):
+        g = churn(seed=5, t_max=30)
+        assert g.ports is g.ports
+        assert g.ports.by_stage == assign_ports(g).by_stage
+
     def test_ports_in_range_and_consistent(self):
         g = churn()
         ports = assign_ports(g)
@@ -140,16 +147,15 @@ class TestDisconnections:
     def test_boundary_drop_reported_once(self):
         stages = (frozenset({(0, 1)}), frozenset(), frozenset())
         g = TimeVaryingGraph(2, 1, stages)
-        ports = assign_ports(g)
-        assert disconnections_at(g, ports, 0) == [set(), set()]
-        assert disconnections_at(g, ports, 1) == [{0}, {0}]
-        assert disconnections_at(g, ports, 2) == [set(), set()]
+        assert disconnections_at(g, 0) == [set(), set()]
+        assert disconnections_at(g, 1) == [{0}, {0}]
+        assert disconnections_at(g, 2) == [set(), set()]
 
     def test_matches_presence_delta_on_churn(self):
         g = churn(seed=21, t_max=60)
-        ports = assign_ports(g)
+        ports = g.ports
         for t in range(1, 60):
-            drops = disconnections_at(g, ports, t)
+            drops = disconnections_at(g, t)
             gone = g.edges_at(t - 1) - g.edges_at(t)
             expect = [set() for _ in range(g.n)]
             for u, v in gone:

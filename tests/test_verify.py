@@ -7,7 +7,7 @@ import dynsync.engine as engine_mod
 from conftest import random_edge_sets
 from dynsync.algorithms import make_algorithm
 from dynsync.engine import SchedulerPolicy, run
-from dynsync.tvg import DynamicsPolicy, ScenarioError, TimeVaryingGraph, assign_ports, generate
+from dynsync.tvg import DynamicsPolicy, ScenarioError, TimeVaryingGraph, generate
 from dynsync.verify import (
     SymmetryViolation,
     build_weak_nontriviality,
@@ -24,10 +24,9 @@ from dynsync.verify import (
 
 def run_static(edges, n, delta, horizon, algo_name="counter", scheduler=None):
     g = generate(DynamicsPolicy(kind="static", initial=tuple(edges)), n, delta, horizon)
-    ports = assign_ports(g)
     algo = make_algorithm(algo_name)
-    trace = run(g, ports, scheduler or SchedulerPolicy(kind="all-active"), algo, horizon)
-    return trace, ports, algo
+    trace = run(g, scheduler or SchedulerPolicy(kind="all-active"), algo)
+    return trace, g.ports, algo
 
 
 def run_churn(seed, n=5, delta=2, horizon=80, algo_name="history-hash"):
@@ -37,10 +36,9 @@ def run_churn(seed, n=5, delta=2, horizon=80, algo_name="history-hash"):
         delta,
         horizon,
     )
-    ports = assign_ports(g)
     algo = make_algorithm(algo_name)
     sched = SchedulerPolicy(kind="random-subset", seed=seed + 1, p_activate=0.5, fairness_bound=4)
-    return run(g, ports, sched, algo, horizon), ports, algo
+    return run(g, sched, algo), g.ports, algo
 
 
 class TestExtract:
@@ -128,9 +126,7 @@ class TestStrongNontriviality:
         survival through the handshake completion."""
         stages = (frozenset({(0, 1)}),) + (frozenset(),) * 5
         g = TimeVaryingGraph(2, 1, stages)
-        trace = run(
-            g, assign_ports(g), SchedulerPolicy(kind="all-active"), make_algorithm("counter"), 6
-        )
+        trace = run(g, SchedulerPolicy(kind="all-active"), make_algorithm("counter"))
         ex = extract_H(trace)
         assert ex.compared_phases >= 2
         assert ex.steps[0] == frozenset()
@@ -156,10 +152,9 @@ class TestStrongNontriviality:
 class TestWeakNontriviality:
     def roundtrip(self, n, delta, steps, algo_name="history-hash"):
         graph, scheduler = build_weak_nontriviality(n, delta, steps)
-        ports = assign_ports(graph)
         algo = make_algorithm(algo_name)
-        trace = run(graph, ports, scheduler, algo, graph.lifetime)
-        return trace, extract_H(trace, ports), algo
+        trace = run(graph, scheduler, algo)
+        return trace, extract_H(trace, graph.ports), algo
 
     def test_single_edge_three_stages(self):
         trace, ex, _ = self.roundtrip(2, 1, [[(0, 1)]])
