@@ -24,7 +24,6 @@ from .engine import (
 )
 from .synchronizer import NodeState, ProtocolViolation, serialize_sync_state
 from .tvg import (
-    DynamicsPolicy,
     PortAssignment,
     ScenarioError,
     TimeVaryingGraph,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CounterAlgo",
-    "DynamicsPolicy",
     "HistoryHashAlgo",
     "InternalInvariantError",
     "MaxFloodAlgo",

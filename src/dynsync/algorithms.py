@@ -20,6 +20,7 @@ class SyncAlgorithm(ABC):
     """One deterministic step per phase; no randomness, no hidden state."""
 
     name: str = "abstract"
+    takes_inputs = False  # whether init reads a per-node input value
 
     @abstractmethod
     def init(self, node: int, value: Any = None) -> Any:
@@ -56,6 +57,7 @@ class MaxFloodAlgo(SyncAlgorithm):
     """Floods the maximum input; per-node input defaults to the node index."""
 
     name = "max-flood"
+    takes_inputs = True
 
     def init(self, node: int, value: Any = None) -> int:
         return int(node if value is None else value)

@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any
@@ -30,13 +31,7 @@ from .engine import (
     run,
 )
 from .synchronizer import ProtocolViolation
-from .tvg import (
-    DynamicsPolicy,
-    ScenarioError,
-    TimeVaryingGraph,
-    generate,
-    normalize_edges,
-)
+from .tvg import ScenarioError, TimeVaryingGraph, generate, normalize_edges
 from .verify import (
     CLASSIC_PROTOCOLS,
     HANDSHAKE_DEMO,
@@ -119,16 +114,11 @@ class ScenarioConfig:
             and self.name not in ("", ".", ".."),
             f"name must be a plain file name, got {self.name!r}",
         )
-        _require(isinstance(self.n, int) and self.n >= 1, f"n must be >= 1, got {self.n!r}")
-        _require(
-            isinstance(self.delta, int) and self.delta >= 1,
-            f"delta must be >= 1, got {self.delta!r}",
-        )
-        _require(
-            isinstance(self.horizon, int) and self.horizon >= 1,
-            f"horizon must be >= 1, got {self.horizon!r}",
-        )
-        _require(isinstance(self.seed, int), "seed must be an integer")
+        # JSON true is a Python int, so every integer's type must be int itself
+        for key in ("n", "delta", "horizon"):
+            value = getattr(self, key)
+            _require(type(value) is int and value >= 1, f"{key} must be >= 1, got {value!r}")
+        _require(type(self.seed) is int, f"seed must be an integer, got {self.seed!r}")
         for section in ("dynamics", "scheduler", "algorithm"):
             value = getattr(self, section)
             _require(isinstance(value, dict), f"{section} must be an object")
@@ -138,7 +128,6 @@ class ScenarioConfig:
         _require(not unknown, f"unknown checks: {sorted(unknown)}")
         for name, value in self.checks.items():
             if name == "liveness":
-                # JSON true is a Python int, so the target's type must be int itself
                 _require(
                     value is False or (type(value) is int and value >= 0),
                     f"liveness check takes false or a non-negative integer target, got {value!r}",
@@ -151,27 +140,34 @@ class ScenarioConfig:
     def build_graph(self) -> TimeVaryingGraph:
         spec = dict(self.dynamics)
         kind = spec.pop("kind")
-        seed = spec.pop("seed", derive_seed(self.seed, "dynamics"))
+        # each branch reads its keys; the graph is built once no key is left
         if kind == "static":
             edges = normalize_edges(spec.pop("edges", []))
-            policy = DynamicsPolicy(kind="static", initial=tuple(sorted(edges)))
+            build = partial(TimeVaryingGraph, self.n, self.delta, (edges,) * self.horizon)
         elif kind == "random-churn":
-            policy = DynamicsPolicy(
-                kind="random-churn",
-                seed=seed,
+            build = partial(
+                generate,
+                self.n,
+                self.delta,
+                self.horizon,
+                seed=spec.pop("seed", derive_seed(self.seed, "dynamics")),
                 p_drop=spec.pop("p_drop", 0.0),
                 p_add=spec.pop("p_add", 0.0),
-                initial=tuple(sorted(normalize_edges(spec.pop("initial", [])))),
+                initial=spec.pop("initial", []),
             )
         elif kind == "scripted":
             stages = spec.pop("stages", None)
             _require(isinstance(stages, list), "scripted dynamics needs a stages array")
-            script = tuple(normalize_edges(stage) for stage in stages)
-            policy = DynamicsPolicy(kind="scripted", script=script)
+            _require(
+                len(stages) == self.horizon,
+                f"scripted dynamics has {len(stages)} stages, horizon wants {self.horizon}",
+            )
+            script = tuple(map(normalize_edges, stages))
+            build = partial(TimeVaryingGraph, self.n, self.delta, script)
         else:
             raise ScenarioError(f"unknown dynamics kind {kind!r}")
         _require(not spec, f"unknown dynamics keys: {sorted(spec)}")
-        return generate(policy, self.n, self.delta, self.horizon)
+        return build()
 
     def build_scheduler(self) -> SchedulerPolicy:
         spec = dict(self.scheduler)
@@ -193,7 +189,7 @@ class ScenarioConfig:
             for t, chosen in enumerate(stages):
                 _require(
                     isinstance(chosen, list)
-                    and all(isinstance(u, int) and 0 <= u < self.n for u in chosen),
+                    and all(type(u) is int and 0 <= u < self.n for u in chosen),
                     f"stage {t}: scripted activation references unknown nodes: {chosen!r}",
                 )
                 script.append(tuple(sorted(set(chosen))))
@@ -209,14 +205,16 @@ class ScenarioConfig:
         _require(isinstance(name, str), "algorithm needs a name")
         inputs = spec.pop("inputs", None)
         _require(not spec, f"unknown algorithm keys: {sorted(spec)}")
+        algo = make_algorithm(name)
         if inputs is not None:
+            _require(algo.takes_inputs, f"algorithm {name!r} takes no inputs")
             _require(
                 isinstance(inputs, list)
                 and len(inputs) == self.n
-                and all(isinstance(v, int) for v in inputs),
+                and all(type(v) is int for v in inputs),
                 f"algorithm inputs must list one integer per node ({self.n})",
             )
-        return make_algorithm(name), inputs
+        return algo, inputs
 
 
 @dataclass
@@ -444,8 +442,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _require(isinstance(raw, dict), "history file root must be an object")
         n, delta = raw.get("n"), raw.get("delta")
         steps = raw.get("steps")
-        _require(isinstance(n, int) and n >= 1, "history needs n >= 1")
-        _require(isinstance(delta, int) and delta >= 1, "history needs delta >= 1")
+        _require(type(n) is int and n >= 1, "history needs n >= 1")
+        _require(type(delta) is int and delta >= 1, "history needs delta >= 1")
         _require(isinstance(steps, list) and steps, "history needs a non-empty steps array")
         graph, scheduler = build_weak_nontriviality(n, delta, steps)
     except (ScenarioError, json.JSONDecodeError, OSError) as exc:

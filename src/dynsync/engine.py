@@ -56,14 +56,14 @@ class SchedulerPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("all-active", "sequential", "random-subset", "scripted"):
             raise ScenarioError(f"unknown scheduler kind {self.kind!r}")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise ScenarioError(f"scheduler seed must be an integer, got {self.seed!r}")
         if self.kind == "random-subset":
             p = self.p_activate
-            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+            if not (type(p) in (int, float) and 0.0 <= p <= 1.0):
                 raise ScenarioError(f"p_activate must be in [0,1], got {p!r}")
             bound = self.fairness_bound
-            if not (isinstance(bound, int) and bound >= 1):
+            if not (type(bound) is int and bound >= 1):
                 raise ScenarioError(f"fairness_bound must be an integer >= 1, got {bound!r}")
 
     def implied_gap_bound(self, n: int, horizon: int) -> int:
@@ -128,7 +128,8 @@ def _dumps(obj: Any) -> str:
 
 @dataclass
 class TraceIndex:
-    """Per-node view of a trace's events, built in one pass over them.
+    """Per-node view of a trace's events, built in one pass over them. The
+    stage events must be exactly 0..horizon-1, one per stage, in order.
 
     The lists hold the event dicts themselves, so an in-place edit of an
     event shows through the index. ``exec_stages[u]`` lists the stages of
@@ -157,6 +158,8 @@ class TraceIndex:
                 raise ScenarioError(f"trace event at stage {t}, horizon is {horizon}")
             last_t = t
             if ev["kind"] == "stage":
+                if t != len(index.stages):
+                    raise ScenarioError(f"stage event {t} where stage {len(index.stages)} is due")
                 index.stages.append(ev)
             elif ev["kind"] == "action":
                 u = ev["node"]
@@ -168,6 +171,8 @@ class TraceIndex:
                     index.exec_stages[u].append(t)
                 elif ev["branch"] == "init":
                     index.inits[u].append(ev)
+        if len(index.stages) != horizon:
+            raise ScenarioError(f"trace has {len(index.stages)} of {horizon} stage events")
         completed = min(map(len, index.exec_stages), default=0)
         index.phase_starts += [
             max(stages[i] for stages in index.exec_stages) + 1 for i in range(completed)

@@ -50,32 +50,6 @@ def normalize_edges(pairs) -> frozenset[Edge]:
 
 
 @dataclass(frozen=True)
-class DynamicsPolicy:
-    """How the edge set evolves stage to stage.
-
-    kinds: "static" (initial set forever), "random-churn" (per-stage drops
-    then adds, degree bound enforced), "scripted" (explicit per-stage sets).
-    """
-
-    kind: str
-    seed: int = 0
-    p_drop: float = 0.0
-    p_add: float = 0.0
-    initial: tuple[Edge, ...] = ()
-    script: tuple[frozenset[Edge], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("static", "random-churn", "scripted"):
-            raise ScenarioError(f"unknown dynamics kind {self.kind!r}")
-        if not isinstance(self.seed, int):
-            raise ScenarioError(f"dynamics seed must be an integer, got {self.seed!r}")
-        if self.kind == "random-churn":
-            for name, p in (("p_drop", self.p_drop), ("p_add", self.p_add)):
-                if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-                    raise ScenarioError(f"{name} must be in [0,1], got {p!r}")
-
-
-@dataclass(frozen=True)
 class TimeVaryingGraph:
     n: int
     delta: int
@@ -109,32 +83,36 @@ class TimeVaryingGraph:
         return {w for a, b in self.edges_at(t) for w in (a, b) if u in (a, b) and w != u}
 
 
-def generate(policy: DynamicsPolicy, n: int, delta: int, t_max: int) -> TimeVaryingGraph:
-    """Build a t_max-stage graph from a dynamics policy. Deterministic in
-    (policy, n, delta, t_max)."""
+def generate(
+    n: int,
+    delta: int,
+    t_max: int,
+    *,
+    seed: int,
+    p_drop: float,
+    p_add: float,
+    initial=(),
+) -> TimeVaryingGraph:
+    """A t_max-stage random-churn graph whose stage 0 is the edge set named
+    by the ``initial`` pairs. Each later stage drops each edge of the one
+    before with p_drop, then scans non-edges in sorted order and adds each
+    with p_add unless the degree bound would break at either endpoint.
+    Deterministic in its arguments."""
+    if type(seed) is not int:
+        raise ScenarioError(f"dynamics seed must be an integer, got {seed!r}")
+    for name, p in (("p_drop", p_drop), ("p_add", p_add)):
+        if not (type(p) in (int, float) and 0.0 <= p <= 1.0):
+            raise ScenarioError(f"{name} must be in [0,1], got {p!r}")
     if t_max < 1:
         raise ScenarioError(f"t_max must be >= 1, got {t_max}")
-    if policy.kind == "scripted":
-        if len(policy.script) != t_max:
-            raise ScenarioError(
-                f"scripted dynamics has {len(policy.script)} stages, horizon wants {t_max}"
-            )
-        return TimeVaryingGraph(n, delta, tuple(policy.script))
-
-    initial = normalize_edges(policy.initial)
-    if policy.kind == "static":
-        return TimeVaryingGraph(n, delta, (initial,) * t_max)
-
-    # random-churn: from the previous stage, drop each edge with p_drop, then
-    # scan non-edges in sorted order and add each with p_add unless the degree
-    # bound would break at either endpoint.
-    rng = random.Random(policy.seed)
-    stages: list[frozenset[Edge]] = [initial]
-    _validate_edge_set(initial, n, delta, 0)
+    rng = random.Random(seed)
+    stages: list[frozenset[Edge]] = [normalize_edges(initial)]
+    # the loop indexes degrees by node, so stage 0 is checked before it runs
+    _validate_edge_set(stages[0], n, delta, 0)
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(1, t_max):
         prev = stages[-1]
-        kept = {e for e in sorted(prev) if rng.random() >= policy.p_drop}
+        kept = {e for e in sorted(prev) if rng.random() >= p_drop}
         degree = [0] * n
         for u, v in kept:
             degree[u] += 1
@@ -142,7 +120,7 @@ def generate(policy: DynamicsPolicy, n: int, delta: int, t_max: int) -> TimeVary
         for u, v in all_pairs:
             if (u, v) in kept:
                 continue
-            if rng.random() < policy.p_add and degree[u] < delta and degree[v] < delta:
+            if rng.random() < p_add and degree[u] < delta and degree[v] < delta:
                 kept.add((u, v))
                 degree[u] += 1
                 degree[v] += 1

@@ -11,7 +11,7 @@ from conftest import brute_force_run, random_edge_sets
 from dynsync.algorithms import make_algorithm, reference_run
 from dynsync.cli import EXIT_OK, main
 from dynsync.engine import SchedulerPolicy, run
-from dynsync.tvg import DynamicsPolicy, generate
+from dynsync.tvg import TimeVaryingGraph, generate
 from dynsync.verify import (
     build_weak_nontriviality,
     check_correctness,
@@ -47,12 +47,7 @@ def fleet():
         seed = 1000 + s
         n = 2 + (s % 11)
         delta = 1 + (s % 4)
-        graph = generate(
-            DynamicsPolicy(kind="random-churn", seed=seed, p_drop=0.25, p_add=0.25),
-            n,
-            delta,
-            HORIZON,
-        )
+        graph = generate(n, delta, HORIZON, seed=seed, p_drop=0.25, p_add=0.25)
         algo = make_algorithm("history-hash")
         scheduler = SchedulerPolicy(
             kind="random-subset", seed=seed + 1, p_activate=0.6, fairness_bound=8
@@ -105,9 +100,7 @@ def test_criterion_3_strong_nontriviality(fleet):
         n = rng.randint(2, 10)
         delta = rng.randint(1, 4)
         edges = random_edge_sets(rng, n, delta, 1)[0]
-        graph = generate(
-            DynamicsPolicy(kind="static", initial=tuple(sorted(edges))), n, delta, 100
-        )
+        graph = TimeVaryingGraph(n, delta, (edges,) * 100)
         scheduler = SchedulerPolicy(
             kind="random-subset",
             seed=rng.randint(0, 10**6),

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dynsync.algorithms import make_algorithm
 from dynsync.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_INVALID,
@@ -12,7 +13,16 @@ from dynsync.cli import (
     load_config,
     main,
 )
+from dynsync.engine import RunTrace, fairness_audit
 from dynsync.tvg import ScenarioError
+from dynsync.verify import (
+    check_correctness,
+    check_liveness,
+    check_pulled_consistency,
+    check_sandwich,
+    check_strong_nontriviality,
+    extract_H,
+)
 
 
 def write_config(tmp_path, name="tiny", **overrides):
@@ -66,6 +76,10 @@ class TestConfigParsing:
     def test_unknown_scenario_name(self):
         with pytest.raises(ScenarioError):
             load_config("no_such_scenario")
+
+    def test_static_dynamics_repeat_the_edge_set(self, tmp_path):
+        config = load_config(str(write_config(tmp_path, horizon=5)))
+        assert config.build_graph().stages == (frozenset({(0, 1)}),) * 5
 
     def test_derive_seed_is_stable_and_labeled(self):
         assert derive_seed(7, "dynamics") == derive_seed(7, "dynamics")
@@ -172,11 +186,12 @@ class TestRunCommand:
         code = main(["run", str(path), "--out", str(tmp_path), "--checks", "vibes"])
         assert code == EXIT_CONFIG_INVALID
 
-    def test_scripted_dynamics_shorter_than_horizon_exits_config_invalid(self, tmp_path):
+    def test_scripted_dynamics_shorter_than_horizon_exits_config_invalid(self, tmp_path, capsys):
         path = write_config(
             tmp_path, name="short", dynamics={"kind": "scripted", "stages": [[[0, 1]]] * 8}
         )
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+        assert "scripted dynamics has 8 stages, horizon wants 9" in capsys.readouterr().err
 
     def test_scripted_scheduler_shorter_than_horizon_exits_config_invalid(self, tmp_path):
         path = write_config(
@@ -211,6 +226,29 @@ class TestRunCommand:
         ("run", {"name": ".."}),
         ("run", {"checks": {"liveness": True}}),
         ("run", {"checks": {"correctness": 0}}),
+        # JSON booleans are not integers or probabilities
+        ("run", {"horizon": True}),
+        ("run", {"seed": False}),
+        ("run", {"n": True, "dynamics": {"kind": "static", "edges": []}}),
+        ("run", {"delta": True}),
+        ("run", {"algorithm": {"name": "max-flood", "inputs": [True, False]}}),
+        ("run", {"scheduler": {"kind": "random-subset", "p_activate": True}}),
+        ("run", {"scheduler": {"kind": "random-subset", "fairness_bound": True}}),
+        ("run", {"dynamics": {"kind": "random-churn", "p_drop": True}}),
+        ("run", {"dynamics": {"kind": "random-churn", "p_add": True}}),
+        ("run", {"scheduler": {"kind": "all-active", "seed": True}}),
+        ("run", {"dynamics": {"kind": "random-churn", "seed": True}}),
+        ("run", {"scheduler": {"kind": "scripted", "stages": [[True]] * 9}}),
+        ("synth", {"n": True, "delta": 1, "steps": [[]]}),
+        # inputs for algorithms whose init ignores them
+        ("run", {"algorithm": {"name": "counter", "inputs": [5, 9]}}),
+        ("run", {"algorithm": {"name": "history-hash", "inputs": [5, 9]}}),
+        # an initial churn edge past n must not reach the generator's loop
+        ("run", {"dynamics": {"kind": "random-churn", "initial": [[0, 9]]}}),
+        ("run", {"dynamics": {"kind": "oscillate"}}),
+        # only random churn reads a dynamics seed
+        ("run", {"dynamics": {"kind": "static", "edges": [[0, 1]], "seed": 3}}),
+        ("run", {"dynamics": {"kind": "scripted", "stages": [[[0, 1]]] * 9, "seed": 3}}),
     ],
 )
 def test_malformed_values_exit_config_invalid(tmp_path, capsys, command, payload):
@@ -221,6 +259,31 @@ def test_malformed_values_exit_config_invalid(tmp_path, capsys, command, payload
         path.write_text(json.dumps(payload))
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG_INVALID
     assert capsys.readouterr().err.startswith(("config error: ", "invalid history: "))
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_written_trace_read_back_passes_every_configured_check(tmp_path, name):
+    """The path an offline check takes: the trace on disk, not the run's own
+    in-memory copy, carries everything extraction and the checkers need."""
+    assert main(["run", name, "--out", str(tmp_path), "-q"]) == EXIT_OK
+    trace = RunTrace.from_jsonl((tmp_path / f"{name}.trace.jsonl").read_bytes())
+    algo, inputs = make_algorithm(trace.header["algorithm"]), trace.header["inputs"]
+    extracted = extract_H(trace)
+    written = json.loads((tmp_path / f"{name}.h.json").read_text())
+    assert written["phases"] == extracted.compared_phases
+    assert written["completed"] == extracted.completed
+    assert written["steps"] == [sorted(map(list, step)) for step in extracted.steps]
+    checks = load_config(name).checks
+    if checks.get("correctness"):
+        assert check_correctness(trace, algo, inputs, extracted=extracted).ok
+        assert check_sandwich(trace).ok
+        assert check_pulled_consistency(trace, algo, inputs).ok
+    if checks.get("fairness"):
+        assert fairness_audit(trace).ok
+    if checks.get("strong-nontriviality"):
+        assert check_strong_nontriviality(trace, extracted).ok
+    if checks.get("liveness", False) is not False:
+        assert check_liveness(trace, checks["liveness"]).ok
 
 
 class TestSynthCommand:

@@ -6,16 +6,11 @@ from hypothesis import strategies as st
 
 from dynsync.algorithms import make_algorithm
 from dynsync.engine import RunTrace, SchedulerPolicy, fairness_audit, run
-from dynsync.tvg import (
-    DynamicsPolicy,
-    ScenarioError,
-    TimeVaryingGraph,
-    generate,
-)
+from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
 
 
 def static_run(edges, n, delta, horizon, scheduler=None, algo_name="counter"):
-    g = generate(DynamicsPolicy(kind="static", initial=tuple(edges)), n, delta, horizon)
+    g = TimeVaryingGraph(n, delta, (frozenset(edges),) * horizon)
     scheduler = scheduler or SchedulerPolicy(kind="all-active")
     return run(g, scheduler, make_algorithm(algo_name))
 
@@ -196,12 +191,7 @@ def test_property_random_runs_complete_with_monotone_min_phase(seed):
     rng = random.Random(seed)
     n = rng.randint(2, 7)
     delta = rng.randint(1, 3)
-    g = generate(
-        DynamicsPolicy(kind="random-churn", seed=seed, p_drop=0.3, p_add=0.3),
-        n,
-        delta,
-        40,
-    )
+    g = generate(n, delta, 40, seed=seed, p_drop=0.3, p_add=0.3)
     sched = SchedulerPolicy(kind="random-subset", seed=seed + 1, p_activate=0.5, fairness_bound=4)
     trace = run(g, sched, make_algorithm("history-hash"))
     starts = trace.index.phase_starts

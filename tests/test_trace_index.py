@@ -6,8 +6,8 @@ import json
 import pytest
 
 from dynsync.algorithms import make_algorithm
-from dynsync.engine import RunTrace, SchedulerPolicy, fairness_audit, run
-from dynsync.tvg import DynamicsPolicy, ScenarioError, generate
+from dynsync.engine import RunTrace, SchedulerPolicy, TraceIndex, fairness_audit, run
+from dynsync.tvg import ScenarioError, generate
 from dynsync.verify import (
     check_correctness,
     check_liveness,
@@ -19,9 +19,7 @@ from dynsync.verify import (
 
 
 def churn_trace(seed, n=6, delta=2, horizon=80):
-    g = generate(
-        DynamicsPolicy(kind="random-churn", seed=seed, p_drop=0.3, p_add=0.35), n, delta, horizon
-    )
+    g = generate(n, delta, horizon, seed=seed, p_drop=0.3, p_add=0.35)
     sched = SchedulerPolicy(kind="random-subset", seed=seed + 1, p_activate=0.5, fairness_bound=4)
     algo = make_algorithm("history-hash")
     return run(g, sched, algo), algo
@@ -109,17 +107,7 @@ def test_trace_missing_init_handshakes_is_a_named_error():
         extract_H(stripped)
 
 
-def scans_while_checking(monkeypatch, n):
-    trace, algo = churn_trace(3, n=n, delta=3, horizon=60)
-    calls = []
-    for name in ("actions", "stage_events"):
-        original = getattr(RunTrace, name)
-
-        def counted(self, *args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(RunTrace, name, counted)
+def check_everything(trace, algo):
     extracted = extract_H(trace)
     check_correctness(trace, algo, extracted=extracted)
     check_sandwich(trace)
@@ -127,9 +115,64 @@ def scans_while_checking(monkeypatch, n):
     check_strong_nontriviality(trace, extracted)
     check_liveness(trace, 1)
     fairness_audit(trace)
+
+
+def index_builds_while_checking(monkeypatch, n):
+    trace, algo = churn_trace(3, n=n, delta=3, horizon=60)
+    calls = []
+    build = TraceIndex.build.__func__
+
+    def counted(cls, *args):
+        calls.append(1)
+        return build(cls, *args)
+
+    monkeypatch.setattr(TraceIndex, "build", classmethod(counted))
+    check_everything(trace, algo)
     monkeypatch.undo()
     return len(calls)
 
 
 def test_checker_trace_scans_do_not_grow_with_n(monkeypatch):
-    assert scans_while_checking(monkeypatch, 8) == scans_while_checking(monkeypatch, 16)
+    # one index build is one pass over the events, shared by every checker
+    assert index_builds_while_checking(monkeypatch, 8) == 1
+    assert index_builds_while_checking(monkeypatch, 16) == 1
+
+
+def drop_stage(events, t):
+    return [ev for ev in events if not (ev["kind"] == "stage" and ev["t"] == t)]
+
+
+def repeat_stage(events, t):
+    at = next(i for i, ev in enumerate(events) if ev["kind"] == "stage" and ev["t"] == t)
+    return events[: at + 1] + [dict(events[at])] + events[at + 1 :]
+
+
+def truncate(events, t):
+    # the footer has no stage, so it goes too
+    return [ev for ev in events if ev.get("t", t) < t]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (truncate, "trace has 40 of 80 stage events"),
+        (drop_stage, "stage event 41 where stage 40 is due"),
+        (repeat_stage, "stage event 40 where stage 41 is due"),
+    ],
+)
+def test_stage_events_must_be_exactly_the_horizon(mutate, message):
+    trace, algo = churn_trace(5)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    data = "\n".join(map(json.dumps, [header, *mutate(rows, 40)])).encode()
+    checks = [
+        extract_H,
+        lambda tr: check_correctness(tr, algo),
+        check_sandwich,
+        lambda tr: check_pulled_consistency(tr, algo),
+        check_strong_nontriviality,
+        lambda tr: check_liveness(tr, 1),
+        fairness_audit,
+    ]
+    for check in checks:
+        with pytest.raises(ScenarioError, match=message):
+            check(RunTrace.from_jsonl(data))

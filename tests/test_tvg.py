@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsync.tvg import (
-    DynamicsPolicy,
     ScenarioError,
     TimeVaryingGraph,
     assign_ports,
@@ -17,8 +16,7 @@ from dynsync.tvg import (
 
 
 def churn(n=6, delta=2, seed=7, t_max=100, p_drop=0.5, p_add=0.5):
-    policy = DynamicsPolicy(kind="random-churn", seed=seed, p_drop=p_drop, p_add=p_add)
-    return generate(policy, n, delta, t_max)
+    return generate(n, delta, t_max, seed=seed, p_drop=p_drop, p_add=p_add)
 
 
 class TestEdges:
@@ -59,11 +57,6 @@ class TestGraphValidation:
 
 
 class TestGenerate:
-    def test_static_repeats_initial(self):
-        policy = DynamicsPolicy(kind="static", initial=((0, 1),))
-        g = generate(policy, 2, 1, 5)
-        assert all(g.edges_at(t) == frozenset({(0, 1)}) for t in range(5))
-
     def test_churn_respects_degree_bound_everywhere(self):
         g = churn()
         for t in range(100):
@@ -81,18 +74,9 @@ class TestGenerate:
         g = churn()
         assert len({s for s in g.stages}) > 10
 
-    def test_scripted_length_must_match(self):
-        policy = DynamicsPolicy(kind="scripted", script=(frozenset(),))
-        with pytest.raises(ScenarioError):
-            generate(policy, 2, 1, 2)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ScenarioError):
-            DynamicsPolicy(kind="oscillate")
-
     def test_bad_probability_rejected(self):
-        with pytest.raises(ScenarioError):
-            DynamicsPolicy(kind="random-churn", p_drop=1.5)
+        with pytest.raises(ScenarioError, match="p_drop must be in"):
+            generate(2, 1, 5, seed=0, p_drop=1.5, p_add=0.0)
 
 
 class TestPorts:
@@ -175,8 +159,7 @@ class TestDisconnections:
 def test_property_churn_all_invariants(n, delta, seed, p_drop, p_add):
     """Degree bound, port stability, and drop accounting hold for any churn
     parameters, not just the tuned ones."""
-    policy = DynamicsPolicy(kind="random-churn", seed=seed, p_drop=p_drop, p_add=p_add)
-    g = generate(policy, n, delta, 25)
+    g = generate(n, delta, 25, seed=seed, p_drop=p_drop, p_add=p_add)
     ports = assign_ports(g)
     for t in range(25):
         degree = [0] * n
@@ -194,8 +177,7 @@ def test_property_churn_all_invariants(n, delta, seed, p_drop, p_add):
 def test_property_assignment_is_a_matching_to_ports(seed):
     rng = random.Random(seed)
     n, delta = rng.randint(2, 7), rng.randint(1, 3)
-    policy = DynamicsPolicy(kind="random-churn", seed=seed, p_drop=0.3, p_add=0.5)
-    g = generate(policy, n, delta, 20)
+    g = generate(n, delta, 20, seed=seed, p_drop=0.3, p_add=0.5)
     ports = assign_ports(g)
     for t in range(20):
         for u in range(n):

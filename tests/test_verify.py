@@ -7,7 +7,7 @@ import dynsync.engine as engine_mod
 from conftest import random_edge_sets
 from dynsync.algorithms import make_algorithm
 from dynsync.engine import SchedulerPolicy, run
-from dynsync.tvg import DynamicsPolicy, ScenarioError, TimeVaryingGraph, generate
+from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
 from dynsync.verify import (
     SymmetryViolation,
     build_weak_nontriviality,
@@ -23,19 +23,14 @@ from dynsync.verify import (
 
 
 def run_static(edges, n, delta, horizon, algo_name="counter", scheduler=None):
-    g = generate(DynamicsPolicy(kind="static", initial=tuple(edges)), n, delta, horizon)
+    g = TimeVaryingGraph(n, delta, (frozenset(edges),) * horizon)
     algo = make_algorithm(algo_name)
     trace = run(g, scheduler or SchedulerPolicy(kind="all-active"), algo)
     return trace, g.ports, algo
 
 
 def run_churn(seed, n=5, delta=2, horizon=80, algo_name="history-hash"):
-    g = generate(
-        DynamicsPolicy(kind="random-churn", seed=seed, p_drop=0.3, p_add=0.35),
-        n,
-        delta,
-        horizon,
-    )
+    g = generate(n, delta, horizon, seed=seed, p_drop=0.3, p_add=0.35)
     algo = make_algorithm(algo_name)
     sched = SchedulerPolicy(kind="random-subset", seed=seed + 1, p_activate=0.5, fairness_bound=4)
     return run(g, sched, algo), g.ports, algo
