@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynsync.cli import ScenarioConfig
 from dynsync.tvg import (
     ScenarioError,
     TimeVaryingGraph,
@@ -73,6 +74,20 @@ class TestGenerate:
     def test_churn_actually_churns(self):
         g = churn()
         assert len({s for s in g.stages}) > 10
+
+    def test_scripted_length_must_match(self):
+        config = ScenarioConfig.from_dict(
+            {
+                "n": 2,
+                "delta": 1,
+                "horizon": 2,
+                "dynamics": {"kind": "scripted", "stages": [[]]},
+                "scheduler": {"kind": "all-active"},
+                "algorithm": {"name": "counter"},
+            }
+        )
+        with pytest.raises(ScenarioError, match="scripted dynamics has 1 stages, horizon wants 2"):
+            config.build_graph()
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ScenarioError, match="p_drop must be in"):
