@@ -12,6 +12,7 @@ failed, 2 the config or arguments are invalid, 3 an internal invariant broke.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -572,6 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # A command makes no reference cycles, so refcounting frees all it
+    # allocates; cyclic collections would only rescan the growing trace.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ScenarioError, OSError) as exc:
@@ -580,6 +585,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ProtocolViolation, InternalInvariantError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -122,14 +122,15 @@ def pull_view(neighbor: NodeState, remote_port: int, neighbor_detector: set[int]
     )
 
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# the encoder json.dumps builds on every call with these arguments, built once
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
 class TraceIndex:
     """Per-node view of a trace's events, built in one pass over them. The
-    stage events must be exactly 0..horizon-1, one per stage, in order.
+    stage events must be exactly 0..horizon-1, one per stage, in order, and
+    each action must follow its own stage's event.
 
     The lists hold the event dicts themselves, so an in-place edit of an
     event shows through the index. ``exec_stages[u]`` lists the stages of
@@ -165,6 +166,8 @@ class TraceIndex:
                 u = ev["node"]
                 if not 0 <= u < n:
                     raise ScenarioError(f"stage {t}: action of node {u}, trace has n={n}")
+                if t >= len(index.stages):
+                    raise ScenarioError(f"stage {t}: action of node {u} before the stage event")
                 index.actions[u].append(ev)
                 if ev["action"] == "execute":
                     index.executes[u].append(ev)
@@ -209,7 +212,22 @@ class RunTrace:
 
     @classmethod
     def from_jsonl(cls, data: bytes) -> "RunTrace":
-        lines = [json.loads(line) for line in data.decode("utf-8").splitlines() if line]
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"trace is not UTF-8: {exc}") from None
+        lines: list[dict] = []
+        for k, line in enumerate(text.splitlines(), 1):
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ScenarioError(f"trace line {k}: {exc}") from None
+            if type(row) is not dict:
+                kind = type(row).__name__
+                raise ScenarioError(f"trace line {k}: expected a JSON object, got {kind}")
+            lines.append(row)
         if not lines or lines[0].get("kind") != "header":
             raise ScenarioError("trace does not start with a header line")
         header = {k: v for k, v in lines[0].items() if k != "kind"}

@@ -14,7 +14,6 @@ the start of that stage; its own writes land at the end of the stage.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
@@ -55,7 +54,16 @@ class PulledView:
     algo_state: Any
 
     def with_ack(self, ack: int) -> "PulledView":
-        return dataclasses.replace(self, ack=ack)
+        return PulledView(
+            self.phase,
+            self.synch,
+            self.remote_port,
+            ack,
+            self.valid_ports,
+            self.phase_drops,
+            self.detector,
+            self.algo_state,
+        )
 
 
 @dataclass
@@ -264,11 +272,9 @@ def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
     for port in range(state.delta):
         flags = state.ports[port]
         view = state.pulled.get(port)
-        body.append(flags.ack)
-        body.append(flags.block)
-        body.append(0 if view is None else 1)
-        body.append(0 if view is None else view.ack)
-        body += (0 if view is None else view.phase).to_bytes(PHASE_BYTES, "big")
+        present, ack, pulled_phase = (0, 0, 0) if view is None else (1, view.ack, view.phase)
+        body += bytes((flags.ack, flags.block, present, ack))
+        body += pulled_phase.to_bytes(PHASE_BYTES, "big")
     for members in (
         state.invalid_ports,
         state.valid_ports,

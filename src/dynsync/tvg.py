@@ -131,10 +131,14 @@ def generate(
 @dataclass
 class PortAssignment:
     """Ground-truth port maps: for every stage and node, which neighbor sits
-    behind each occupied port. Available to the engine and verifiers only;
-    node-local code never sees node identities."""
+    behind each occupied port, and the inverse. Available to the engine and
+    verifiers only; node-local code never sees node identities.
+
+    A node whose edges did not change since the stage before shares that
+    stage's map objects, so the maps are read-only."""
 
     by_stage: list[list[dict[int, int]]] = field(default_factory=list)
+    inverse: list[list[dict[int, int]]] = field(default_factory=list)
 
     def occupied(self, t: int, u: int) -> dict[int, int]:
         """port -> neighbor for node u at stage t."""
@@ -144,52 +148,53 @@ class PortAssignment:
         return self.occupied(t, u)[port]
 
     def port_of(self, t: int, u: int, v: int) -> int:
-        for port, w in self.occupied(t, u).items():
-            if w == v:
-                return port
-        raise KeyError(f"stage {t}: node {u} has no port for {v}")
+        try:
+            return self.inverse[t][u][v]
+        except KeyError:
+            raise KeyError(f"stage {t}: node {u} has no port for {v}") from None
 
 
 def assign_ports(graph: TimeVaryingGraph) -> PortAssignment:
     """Deterministic port assignment: persisting edges keep their ports; each
     new edge takes the lowest free port at each endpoint, new neighbors
-    processed in ascending index order."""
+    processed in ascending index order. Only the endpoints of edges that
+    appeared or vanished since the stage before get new maps."""
     assignment = PortAssignment()
-    prev: list[dict[int, int]] = [{} for _ in range(graph.n)]
-    for t in range(graph.lifetime):
-        edges = graph.edges_at(t)
-        current: list[dict[int, int]] = [{} for _ in range(graph.n)]
-        for u in range(graph.n):
-            for port, w in prev[u].items():
-                if edge(u, w) in edges:
-                    current[u][port] = w
-        neighbors: list[list[int]] = [[] for _ in range(graph.n)]
-        for a, b in edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        for u in range(graph.n):
-            held = set(current[u].values())
-            fresh = sorted(w for w in neighbors[u] if w not in held)
-            free = [p for p in range(graph.delta) if p not in current[u]]
-            for w, port in zip(fresh, free):
-                current[u][port] = w
-        assignment.by_stage.append(current)
-        prev = current
+    occupied: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    inverse: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    prev: frozenset[Edge] = frozenset()
+    for edges in graph.stages:
+        gone, new = prev - edges, edges - prev
+        if gone or new:
+            occupied, inverse = occupied.copy(), inverse.copy()
+            for u in {w for e in gone | new for w in e}:
+                occupied[u], inverse[u] = dict(occupied[u]), dict(inverse[u])
+            for u, v in gone:
+                del occupied[u][inverse[u].pop(v)]
+                del occupied[v][inverse[v].pop(u)]
+            fresh: dict[int, list[int]] = {}
+            for u, v in new:
+                fresh.setdefault(u, []).append(v)
+                fresh.setdefault(v, []).append(u)
+            for u, neighbors in fresh.items():
+                free = [p for p in range(graph.delta) if p not in occupied[u]]
+                for w, port in zip(sorted(neighbors), free):
+                    occupied[u][port] = w
+                    inverse[u][w] = port
+        assignment.by_stage.append(occupied)
+        assignment.inverse.append(inverse)
+        prev = edges
     return assignment
 
 
 def disconnections_at(graph: TimeVaryingGraph, t: int) -> list[set[int]]:
     """Per-node set of port indices whose edge was present at stage t-1 and is
     gone at stage t. Empty at t=0."""
+    out: list[set[int]] = [set() for _ in range(graph.n)]
     if t == 0:
-        return [set() for _ in range(graph.n)]
-    edges, ports = graph.edges_at(t), graph.ports
-    out: list[set[int]] = []
-    for u in range(graph.n):
-        gone = {
-            port
-            for port, w in ports.occupied(t - 1, u).items()
-            if edge(u, w) not in edges
-        }
-        out.append(gone)
+        return out
+    ports = graph.ports
+    for u, v in graph.edges_at(t - 1) - graph.edges_at(t):
+        out[u].add(ports.port_of(t - 1, u, v))
+        out[v].add(ports.port_of(t - 1, v, u))
     return out

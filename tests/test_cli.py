@@ -1,8 +1,10 @@
+import gc
 import json
 
 import pytest
 
 from dynsync.algorithms import make_algorithm
+import dynsync.cli
 from dynsync.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_INVALID,
@@ -10,6 +12,7 @@ from dynsync.cli import (
     ScenarioConfig,
     bundled_scenarios,
     derive_seed,
+    execute_scenario,
     load_config,
     main,
 )
@@ -284,6 +287,47 @@ def test_written_trace_read_back_passes_every_configured_check(tmp_path, name):
         assert check_strong_nontriviality(trace, extracted).ok
     if checks.get("liveness", False) is not False:
         assert check_liveness(trace, checks["liveness"]).ok
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_a_run_and_its_check_leave_no_cyclic_garbage(name):
+    """``main`` pauses the cyclic collector, which is safe only while
+    refcounting alone frees everything a command allocates."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        outcome = execute_scenario(load_config(name))
+        data = outcome.trace.to_jsonl()
+        del outcome
+        assert gc.collect() == 0
+        extract_H(RunTrace.from_jsonl(data))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return execute_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(dynsync.cli, "execute_scenario", recording)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["run", "static_triangle", "--out", str(tmp_path), "-q"]) == EXIT_OK
+        assert gc.isenabled() is enabled
+        bad = write_config(tmp_path, horizon="9")
+        assert main(["run", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]
 
 
 class TestSynthCommand:

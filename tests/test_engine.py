@@ -67,6 +67,24 @@ class TestTraceFormat:
         with pytest.raises(ScenarioError):
             RunTrace.from_jsonl(b'{"kind":"stage"}\n')
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"[1]", "trace line 3: expected a JSON object, got list"),
+            (b'{"kind":"header"', "trace line 3: Expecting ',' delimiter"),
+            (b'{"kind":"stage"} {}', "trace line 3: Extra data"),
+        ],
+    )
+    def test_malformed_line_is_named_with_its_number(self, line, message):
+        lines = static_run([(0, 1)], 2, 1, 4).to_jsonl().splitlines()
+        lines[2] = line
+        with pytest.raises(ScenarioError, match=message):
+            RunTrace.from_jsonl(b"\n".join(lines))
+
+    def test_non_utf8_input_is_named(self):
+        with pytest.raises(ScenarioError, match="trace is not UTF-8"):
+            RunTrace.from_jsonl(b'{"kind":"header"}\n\xff\n')
+
     def test_replay_is_deterministic(self):
         a = static_run([(0, 1), (1, 2)], 3, 2, 20, SchedulerPolicy(kind="random-subset", seed=4))
         b = static_run([(0, 1), (1, 2)], 3, 2, 20, SchedulerPolicy(kind="random-subset", seed=4))

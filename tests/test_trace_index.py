@@ -76,9 +76,15 @@ def test_malformed_event_order_and_node_are_named_errors():
     trace, _ = churn_trace(2)
     lines = trace.to_jsonl().decode().splitlines()
     header, events = lines[0], lines[1:-1]
+    last = json.loads(events[-1])
     swapped = RunTrace.from_jsonl("\n".join([header, events[-1], *events[:-1]]).encode())
-    with pytest.raises(ScenarioError, match="follows stage"):
+    with pytest.raises(
+        ScenarioError, match=f"stage {last['t']}: action of node {last['node']} before the stage"
+    ):
         swapped.index
+    rewound = RunTrace.from_jsonl("\n".join([header, *events, events[0]]).encode())
+    with pytest.raises(ScenarioError, match="trace event at stage 0 follows stage"):
+        rewound.index
     stray = json.loads(next(line for line in events if '"kind":"action"' in line))
     stray["node"] = trace.n
     outside = RunTrace.from_jsonl("\n".join([header, json.dumps(stray)]).encode())
@@ -89,6 +95,17 @@ def test_malformed_event_order_and_node_are_named_errors():
     past = RunTrace.from_jsonl("\n".join([header, *events, json.dumps(late)]).encode())
     with pytest.raises(ScenarioError, match=f"stage {trace.horizon + 5}, horizon is"):
         past.index
+    # the first action of stage 50 swapped with stage 50's own event
+    rows = [json.loads(line) for line in events]
+    at = next(i for i, ev in enumerate(rows) if ev["kind"] == "stage" and ev["t"] == 50)
+    first = rows[at + 1]
+    assert first["kind"] == "action" and first["t"] == 50
+    events[at], events[at + 1] = events[at + 1], events[at]
+    early = RunTrace.from_jsonl("\n".join([header, *events]).encode())
+    with pytest.raises(
+        ScenarioError, match=f"stage 50: action of node {first['node']} before the stage event"
+    ):
+        early.index
 
 
 def test_trace_missing_init_handshakes_is_a_named_error():
@@ -139,12 +156,23 @@ def test_checker_trace_scans_do_not_grow_with_n(monkeypatch):
 
 
 def drop_stage(events, t):
+    # the stage event and its actions
+    return [ev for ev in events if ev.get("t") != t]
+
+
+def drop_stage_event(events, t):
     return [ev for ev in events if not (ev["kind"] == "stage" and ev["t"] == t)]
 
 
 def repeat_stage(events, t):
     at = next(i for i, ev in enumerate(events) if ev["kind"] == "stage" and ev["t"] == t)
     return events[: at + 1] + [dict(events[at])] + events[at + 1 :]
+
+
+def action_first(events, t):
+    at = next(i for i, ev in enumerate(events) if ev["kind"] == "stage" and ev["t"] == t)
+    assert events[at + 1]["kind"] == "action"
+    return events[:at] + [events[at + 1], events[at]] + events[at + 2 :]
 
 
 def truncate(events, t):
@@ -157,6 +185,8 @@ def truncate(events, t):
     [
         (truncate, "trace has 40 of 80 stage events"),
         (drop_stage, "stage event 41 where stage 40 is due"),
+        (drop_stage_event, r"stage 40: action of node \d+ before the stage event"),
+        (action_first, r"stage 40: action of node \d+ before the stage event"),
         (repeat_stage, "stage event 40 where stage 41 is due"),
     ],
 )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_edge_sets
 from dynsync.cli import ScenarioConfig
 from dynsync.tvg import (
     ScenarioError,
@@ -140,6 +141,101 @@ class TestPorts:
         ports = assign_ports(TimeVaryingGraph(3, 1, stages))
         assert ports.occupied(0, 0) == {0: 1}
         assert ports.occupied(2, 0) == {0: 2}
+
+
+def reference_ports(graph):
+    """Port maps rebuilt for every node at every stage from the stage before:
+    persisting edges keep their ports, new neighbors in ascending order take
+    the lowest free ports."""
+    by_stage = []
+    prev = [{} for _ in range(graph.n)]
+    for t in range(graph.lifetime):
+        edges = graph.edges_at(t)
+        current = [{} for _ in range(graph.n)]
+        for u in range(graph.n):
+            for port, w in prev[u].items():
+                if edge(u, w) in edges:
+                    current[u][port] = w
+        neighbors = [[] for _ in range(graph.n)]
+        for a, b in edges:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        for u in range(graph.n):
+            held = set(current[u].values())
+            fresh = sorted(w for w in neighbors[u] if w not in held)
+            free = [p for p in range(graph.delta) if p not in current[u]]
+            for w, port in zip(fresh, free):
+                current[u][port] = w
+        by_stage.append(current)
+        prev = current
+    return by_stage
+
+
+@pytest.fixture(scope="module")
+def seeded_graphs():
+    """200 seeded churn graphs: n from 1, delta from 1, and each of p_drop
+    and p_add cycling through 0, 1 and a random value."""
+    rng = random.Random(20)
+    graphs = []
+    for i in range(200):
+        n, delta = rng.randint(1, 9), rng.randint(1, 4)
+        p_drop = (0, 1, rng.random())[i % 3]
+        p_add = (0, 1, rng.random())[i // 3 % 3]
+        initial = random_edge_sets(rng, n, delta, 1, p=0.6)[0]
+        graphs.append(
+            generate(
+                n, delta, rng.randint(1, 30), seed=i, p_drop=p_drop, p_add=p_add, initial=initial
+            )
+        )
+    assert {1} < {g.n for g in graphs} and {1} < {g.delta for g in graphs}
+    return graphs
+
+
+class TestIncrementalPorts:
+    def test_equal_the_per_node_reference(self, seeded_graphs):
+        for g in seeded_graphs:
+            assert assign_ports(g).by_stage == reference_ports(g)
+
+    def test_port_of_equals_a_scan_of_the_map(self, seeded_graphs):
+        for g in seeded_graphs:
+            ports, reference = g.ports, reference_ports(g)
+            for t in range(g.lifetime):
+                for u in range(g.n):
+                    for v in range(g.n):
+                        found = [p for p, w in reference[t][u].items() if w == v]
+                        if found:
+                            assert ports.port_of(t, u, v) == found[0]
+                        else:
+                            with pytest.raises(KeyError) as info:
+                                ports.port_of(t, u, v)
+                            assert info.value.args == (f"stage {t}: node {u} has no port for {v}",)
+
+    def test_disconnections_equal_their_definition(self, seeded_graphs):
+        # ports whose edge was present at t-1 and is gone at t
+        for g in seeded_graphs:
+            reference = reference_ports(g)
+            assert disconnections_at(g, 0) == [set() for _ in range(g.n)]
+            for t in range(1, g.lifetime):
+                assert disconnections_at(g, t) == [
+                    {p for p, w in reference[t - 1][u].items() if edge(u, w) not in g.edges_at(t)}
+                    for u in range(g.n)
+                ]
+
+    def test_static_graph_holds_one_map_per_node(self):
+        edges = frozenset({(0, 1), (1, 2), (0, 3)})
+        g = TimeVaryingGraph(5, 2, (edges,) * 40)
+        for t in range(g.lifetime):
+            for u in range(g.n):
+                assert g.ports.occupied(t, u) is g.ports.occupied(0, u)
+                assert g.ports.inverse[t][u] is g.ports.inverse[0][u]
+
+    def test_unchanged_nodes_share_the_previous_map(self):
+        stages = (frozenset({(0, 1), (2, 3)}), frozenset({(0, 1), (2, 4)}))
+        ports = assign_ports(TimeVaryingGraph(5, 2, stages))
+        assert ports.occupied(1, 0) is ports.occupied(0, 0)
+        assert ports.occupied(1, 1) is ports.occupied(0, 1)
+        assert ports.occupied(1, 2) is not ports.occupied(0, 2)
+        assert ports.occupied(0, 2) == {0: 3} and ports.occupied(1, 2) == {0: 4}
 
 
 class TestDisconnections:
