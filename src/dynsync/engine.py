@@ -122,8 +122,22 @@ def pull_view(neighbor: NodeState, remote_port: int, neighbor_detector: set[int]
     )
 
 
-# the encoder json.dumps builds on every call with these arguments, built once
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The C encoder that json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# builds on every call, built once. It keeps no circular-reference markers: a
+# trace is a tree of fresh dicts and lists, and a cycle still ends in
+# RecursionError.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ":", ",", True, False, True,
+)
+
+
+def _dumps(obj: Any) -> str:
+    return "".join(_encode(obj, 0))
+
+
+# the C scanner json.loads runs; it parses one JSON value from an offset
+_scan = json.JSONDecoder().scan_once
 
 
 @dataclass
@@ -150,30 +164,38 @@ class TraceIndex:
     def build(cls, n: int, horizon: int, events: list[dict]) -> "TraceIndex":
         index = cls([], *([[] for _ in range(n)] for _ in range(4)), [0])
         last_t = 0
-        for ev in events:
-            t = ev["t"]
-            # phase lookups bisect the per-node stage lists
-            if t < last_t:
-                raise ScenarioError(f"trace event at stage {t} follows stage {last_t}")
-            if t >= horizon:
-                raise ScenarioError(f"trace event at stage {t}, horizon is {horizon}")
-            last_t = t
-            if ev["kind"] == "stage":
-                if t != len(index.stages):
-                    raise ScenarioError(f"stage event {t} where stage {len(index.stages)} is due")
-                index.stages.append(ev)
-            elif ev["kind"] == "action":
-                u = ev["node"]
-                if not 0 <= u < n:
-                    raise ScenarioError(f"stage {t}: action of node {u}, trace has n={n}")
-                if t >= len(index.stages):
-                    raise ScenarioError(f"stage {t}: action of node {u} before the stage event")
-                index.actions[u].append(ev)
-                if ev["action"] == "execute":
-                    index.executes[u].append(ev)
-                    index.exec_stages[u].append(t)
-                elif ev["branch"] == "init":
-                    index.inits[u].append(ev)
+        try:
+            for ev in events:
+                t = ev["t"]
+                # phase lookups bisect the per-node stage lists
+                if t < last_t:
+                    raise ScenarioError(f"trace event at stage {t} follows stage {last_t}")
+                if t >= horizon:
+                    raise ScenarioError(f"trace event at stage {t}, horizon is {horizon}")
+                last_t = t
+                if ev["kind"] == "stage":
+                    if t != len(index.stages):
+                        due = len(index.stages)
+                        raise ScenarioError(f"stage event {t} where stage {due} is due")
+                    index.stages.append(ev)
+                elif ev["kind"] == "action":
+                    u = ev["node"]
+                    if not 0 <= u < n:
+                        raise ScenarioError(f"stage {t}: action of node {u}, trace has n={n}")
+                    if t >= len(index.stages):
+                        raise ScenarioError(
+                            f"stage {t}: action of node {u} before the stage event"
+                        )
+                    index.actions[u].append(ev)
+                    if ev["action"] == "execute":
+                        index.executes[u].append(ev)
+                        index.exec_stages[u].append(t)
+                    elif ev["branch"] == "init":
+                        index.inits[u].append(ev)
+        except KeyError as exc:
+            # ev is the event being read when the key was missing
+            at = next(i for i, e in enumerate(events) if e is ev)
+            raise ScenarioError(f"trace event {at} has no {exc.args[0]!r} key") from None
         if len(index.stages) != horizon:
             raise ScenarioError(f"trace has {len(index.stages)} of {horizon} stage events")
         completed = min(map(len, index.exec_stages), default=0)
@@ -212,31 +234,50 @@ class RunTrace:
 
     @classmethod
     def from_jsonl(cls, data: bytes) -> "RunTrace":
+        """Parse a trace: one JSON object per non-empty line, the header
+        first and an optional footer last. Each line decodes to what
+        ``json.loads`` gives for it, and a line it rejects is a named error."""
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"trace is not UTF-8: {exc}") from None
-        lines: list[dict] = []
+        trace: RunTrace | None = None
+        ended = False
         for k, line in enumerate(text.splitlines(), 1):
             if not line:
                 continue
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"trace line {k}: {exc}") from None
+                row, end = _scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(line):
+                # not one whole value from the first character: json.loads
+                # either accepts the line (say, padded with spaces) or says
+                # what is wrong with it
+                try:
+                    row = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ScenarioError(f"trace line {k}: {exc}") from None
             if type(row) is not dict:
-                kind = type(row).__name__
-                raise ScenarioError(f"trace line {k}: expected a JSON object, got {kind}")
-            lines.append(row)
-        if not lines or lines[0].get("kind") != "header":
-            raise ScenarioError("trace does not start with a header line")
-        header = {k: v for k, v in lines[0].items() if k != "kind"}
-        trace = cls(header)
-        for row in lines[1:]:
-            if row.get("kind") == "footer":
-                trace.footer = {k: v for k, v in row.items() if k != "kind"}
+                got = type(row).__name__
+                raise ScenarioError(f"trace line {k}: expected a JSON object, got {got}")
+            kind = row.get("kind")
+            if trace is None:
+                if kind != "header":
+                    raise ScenarioError("trace does not start with a header line")
+                trace = cls({key: v for key, v in row.items() if key != "kind"})
+                events = trace.events
+            elif ended:
+                raise ScenarioError(f"trace line {k}: line after the footer")
+            elif kind == "footer":
+                trace.footer = {key: v for key, v in row.items() if key != "kind"}
+                ended = True
+            elif kind == "header":
+                raise ScenarioError(f"trace line {k}: second header line")
             else:
-                trace.add(row)
+                events.append(row)
+        if trace is None:
+            raise ScenarioError("trace does not start with a header line")
         return trace
 
     # -- accessors ---------------------------------------------------------

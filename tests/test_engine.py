@@ -1,18 +1,64 @@
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynsync.algorithms import make_algorithm
-from dynsync.engine import RunTrace, SchedulerPolicy, fairness_audit, run
+from dynsync.cli import bundled_scenarios, execute_scenario, load_config
+from dynsync.engine import RunTrace, SchedulerPolicy, _dumps, fairness_audit, run
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
+from dynsync.verify import (
+    check_correctness,
+    check_liveness,
+    check_pulled_consistency,
+    check_sandwich,
+    check_strong_nontriviality,
+    extract_H,
+)
 
 
 def static_run(edges, n, delta, horizon, scheduler=None, algo_name="counter"):
     g = TimeVaryingGraph(n, delta, (frozenset(edges),) * horizon)
     scheduler = scheduler or SchedulerPolicy(kind="all-active")
     return run(g, scheduler, make_algorithm(algo_name))
+
+
+def real_traces():
+    """Each bundled scenario's trace and a seeded random-churn run's."""
+    traces = [execute_scenario(load_config(name)).trace for name in bundled_scenarios()]
+    g = generate(7, 3, 120, seed=3, p_drop=0.3, p_add=0.3)
+    sched = SchedulerPolicy(kind="random-subset", seed=4, p_activate=0.5, fairness_bound=4)
+    return traces + [run(g, sched, make_algorithm("history-hash"))]
+
+
+def compact(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# Line breaks that str.splitlines honours and json.dumps leaves raw when
+# ensure_ascii is off; a string holding one would span two trace lines.
+RAW_BREAKS = "\x85\u2028\u2029"
+any_text = st.text(st.characters(blacklist_categories=(), blacklist_characters=RAW_BREAKS))
+# what a UTF-8 trace can hold raw: no lone surrogates
+utf8_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=RAW_BREAKS))
+
+
+def json_values(text):
+    atoms = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.integers(-(10**40), 10**40)
+        | st.floats()
+        | text
+    )
+    return st.recursive(
+        atoms,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4),
+        max_leaves=20,
+    )
 
 
 class TestScheduler:
@@ -56,12 +102,68 @@ class TestScheduler:
 
 class TestTraceFormat:
     def test_round_trip_is_byte_identical(self):
-        trace = static_run([(0, 1)], 2, 1, 10)
-        data = trace.to_jsonl()
-        again = RunTrace.from_jsonl(data)
-        assert again.to_jsonl() == data
-        assert again.header == trace.header
-        assert again.footer == trace.footer
+        for trace in [static_run([(0, 1)], 2, 1, 10), *real_traces()]:
+            data = trace.to_jsonl()
+            again = RunTrace.from_jsonl(data)
+            assert again.to_jsonl() == data
+            assert again.header == trace.header
+            assert again.events == trace.events
+            assert again.footer == trace.footer
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=json_values(any_text))
+    @example(value=[0.6, 1e-7, 10**30, -(10**30), True, False, None, "\x00\x1f\u00e9\U0001f600"])
+    @example(value={"b": {"\ud800": [1.5e300, -0.0]}, "a": "\t\n\"\\"})
+    def test_dumps_is_json_dumps(self, value):
+        assert _dumps(value) == compact(value)
+
+    def test_dumps_is_json_dumps_on_every_real_line(self):
+        for trace in real_traces():
+            rows = [{"kind": "header", **trace.header}, *trace.events]
+            rows.append({"kind": "footer", **trace.footer})
+            for row in rows:
+                assert _dumps(row) == compact(row)
+
+    def test_dumps_raises_on_a_cycle_and_on_non_json_values(self):
+        looped = {"kind": "stage", "t": 0}
+        looped["self"] = looped
+        trace = RunTrace({"n": 1})
+        trace.add(looped)
+        with pytest.raises(RecursionError):
+            trace.to_jsonl()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dumps({"edges": {(0, 1)}})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.dictionaries(utf8_text, json_values(utf8_text), max_size=4).filter(
+                lambda row: row.get("kind") not in ("header", "footer")
+            ),
+            max_size=8,
+        ),
+        layout=st.data(),
+    )
+    def test_from_jsonl_is_json_loads_per_line(self, rows, layout):
+        """Blank lines, CRLF endings, padded lines and either ASCII mode
+        parse line by line to what json.loads gives."""
+        lines = [json.dumps({"kind": "header", "n": 1})]
+        for row in rows:
+            raw = layout.draw(st.booleans(), label="raw non-ASCII")
+            spaced = layout.draw(st.booleans(), label="spaced separators")
+            line = json.dumps(row, ensure_ascii=not raw, separators=None if spaced else (",", ":"))
+            pad = layout.draw(st.sampled_from(["", " ", "\t", "  \t"]), label="padding")
+            lines.append(layout.draw(st.sampled_from([line, pad + line, line + pad])))
+            if layout.draw(st.booleans(), label="blank line"):
+                lines.append("")
+        lines.append(json.dumps({"kind": "footer", "stages": 0}))
+        text = layout.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+        trace = RunTrace.from_jsonl(text.encode())
+        expected = [json.loads(line) for line in lines if line]
+        assert trace.header == {"n": 1}
+        # compared as text, because NaN is not equal to itself
+        assert compact(trace.events) == compact(expected[1:-1])
+        assert trace.footer == {"stages": 0}
 
     def test_rejects_headerless_input(self):
         with pytest.raises(ScenarioError):
@@ -73,6 +175,13 @@ class TestTraceFormat:
             (b"[1]", "trace line 3: expected a JSON object, got list"),
             (b'{"kind":"header"', "trace line 3: Expecting ',' delimiter"),
             (b'{"kind":"stage"} {}', "trace line 3: Extra data"),
+            pytest.param(b" ", "trace line 3: Expecting value", id="blank"),
+            pytest.param(b'{"t":"\\ud8"}', r"trace line 3: Invalid \\uXXXX escape", id="escape"),
+            pytest.param(b"\xef\xbb\xbf{}", "trace line 3: Unexpected UTF-8 BOM", id="bom"),
+            pytest.param(
+                b"[" * 100_000, "trace line 3: maximum recursion depth exceeded", id="deep"
+            ),
+            pytest.param(b"9" * 5000, "trace line 3: Exceeds the limit", id="long-int"),
         ],
     )
     def test_malformed_line_is_named_with_its_number(self, line, message):
@@ -80,6 +189,32 @@ class TestTraceFormat:
         lines[2] = line
         with pytest.raises(ScenarioError, match=message):
             RunTrace.from_jsonl(b"\n".join(lines))
+
+    def test_only_one_header(self):
+        lines = static_run([(0, 1)], 2, 1, 4).to_jsonl().splitlines()
+        with pytest.raises(ScenarioError, match="trace line 4: second header line"):
+            RunTrace.from_jsonl(b"\n".join([*lines[:3], lines[0], *lines[3:]]))
+
+    def test_footer_is_the_last_line(self):
+        lines = execute_scenario(load_config("churn_mesh")).trace.to_jsonl().splitlines()
+        header, events, footer = lines[0], lines[1:-1], lines[-1]
+        assert len(events) > 500
+        moved = [header, *events[:498], footer, *events[498:]]
+        with pytest.raises(ScenarioError, match="trace line 501: line after the footer"):
+            RunTrace.from_jsonl(b"\n".join(moved))
+        with pytest.raises(ScenarioError, match=f"trace line {len(lines) + 1}: line after the f"):
+            RunTrace.from_jsonl(b"\n".join([*lines, footer]))
+        # trailing blank lines are no lines at all
+        trace = RunTrace.from_jsonl(b"\n".join(lines) + b"\n\n\r\n")
+        assert trace.to_jsonl() == b"\n".join(lines) + b"\n"
+        algo = make_algorithm(trace.header["algorithm"])
+        extracted = extract_H(trace)
+        assert check_correctness(trace, algo, extracted=extracted).ok
+        assert check_sandwich(trace).ok
+        assert check_pulled_consistency(trace, algo).ok
+        assert check_strong_nontriviality(trace, extracted).ok
+        assert check_liveness(trace, 1).ok
+        assert fairness_audit(trace).ok
 
     def test_non_utf8_input_is_named(self):
         with pytest.raises(ScenarioError, match="trace is not UTF-8"):

@@ -25,6 +25,25 @@ def churn_trace(seed, n=6, delta=2, horizon=80):
     return run(g, sched, algo), algo
 
 
+def every_check(algo):
+    """extract_H and the six checkers, each taking only a trace."""
+    return [
+        extract_H,
+        lambda tr: check_correctness(tr, algo),
+        check_sandwich,
+        lambda tr: check_pulled_consistency(tr, algo),
+        check_strong_nontriviality,
+        lambda tr: check_liveness(tr, 1),
+        fairness_audit,
+    ]
+
+
+def assert_every_check_raises(data, algo, message):
+    for check in every_check(algo):
+        with pytest.raises(ScenarioError, match=message):
+            check(RunTrace.from_jsonl(data))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_index_backed_accessors_match_a_brute_force_filter(seed):
     trace, _ = churn_trace(seed)
@@ -73,7 +92,7 @@ def test_index_holds_the_events_themselves():
 
 
 def test_malformed_event_order_and_node_are_named_errors():
-    trace, _ = churn_trace(2)
+    trace, algo = churn_trace(2)
     lines = trace.to_jsonl().decode().splitlines()
     header, events = lines[0], lines[1:-1]
     last = json.loads(events[-1])
@@ -106,6 +125,32 @@ def test_malformed_event_order_and_node_are_named_errors():
         ScenarioError, match=f"stage 50: action of node {first['node']} before the stage event"
     ):
         early.index
+    # a second header line, and an event without its stage
+    lines = [header, *events]
+    assert_every_check_raises(
+        "\n".join([*lines[:10], header, *lines[10:]]).encode(), algo, "trace line 11: second header"
+    )
+    stageless = json.loads(events[20])
+    del stageless["t"]
+    lines[21] = json.dumps(stageless)
+    assert_every_check_raises("\n".join(lines).encode(), algo, "trace event 20 has no 't' key")
+
+
+@pytest.mark.parametrize(
+    "kind, key", [("stage", "kind"), ("action", "node"), ("action", "action"), ("action", "branch")]
+)
+def test_missing_key_is_named(kind, key):
+    trace, algo = churn_trace(2)
+    header, *lines = trace.to_jsonl().decode().splitlines()
+    at, row = next(
+        (i, row)
+        for i, row in enumerate(map(json.loads, lines))
+        if row["kind"] == kind and row.get("action") != "execute"
+    )
+    del row[key]
+    lines[at] = json.dumps(row)
+    data = "\n".join([header, *lines]).encode()
+    assert_every_check_raises(data, algo, f"trace event {at} has no '{key}' key")
 
 
 def test_trace_missing_init_handshakes_is_a_named_error():
@@ -194,15 +239,4 @@ def test_stage_events_must_be_exactly_the_horizon(mutate, message):
     trace, algo = churn_trace(5)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     data = "\n".join(map(json.dumps, [header, *mutate(rows, 40)])).encode()
-    checks = [
-        extract_H,
-        lambda tr: check_correctness(tr, algo),
-        check_sandwich,
-        lambda tr: check_pulled_consistency(tr, algo),
-        check_strong_nontriviality,
-        lambda tr: check_liveness(tr, 1),
-        fairness_audit,
-    ]
-    for check in checks:
-        with pytest.raises(ScenarioError, match=message):
-            check(RunTrace.from_jsonl(data))
+    assert_every_check_raises(data, algo, message)
