@@ -25,9 +25,9 @@ def churn_trace(seed, n=6, delta=2, horizon=80):
     return run(g, sched, algo), algo
 
 
-def every_check(algo):
-    """extract_H and the six checkers, each taking only a trace."""
-    return [
+def assert_every_check_raises(data, algo, message):
+    """extract_H and the six checkers each refuse the trace ``data``."""
+    checks = [
         extract_H,
         lambda tr: check_correctness(tr, algo),
         check_sandwich,
@@ -36,10 +36,7 @@ def every_check(algo):
         lambda tr: check_liveness(tr, 1),
         fairness_audit,
     ]
-
-
-def assert_every_check_raises(data, algo, message):
-    for check in every_check(algo):
+    for check in checks:
         with pytest.raises(ScenarioError, match=message):
             check(RunTrace.from_jsonl(data))
 
