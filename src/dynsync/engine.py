@@ -33,6 +33,8 @@ from .tvg import ScenarioError, TimeVaryingGraph, disconnections_at
 
 TRACE_SCHEMA = "trace/v1"
 
+_NO_DROPS: frozenset[int] = frozenset()
+
 
 class InternalInvariantError(RuntimeError):
     """A protocol-level invariant the engine enforces failed mid-run."""
@@ -108,17 +110,20 @@ class SchedulerPolicy:
         return sorted(chosen)
 
 
-def pull_view(neighbor: NodeState, remote_port: int, neighbor_detector: set[int]) -> PulledView:
+def pull_view(
+    neighbor: NodeState, remote_port: int, neighbor_detector: frozenset[int]
+) -> PulledView:
     """Snapshot what the node behind a port exposes at stage start."""
+    # positional, in field order: keywords double the cost of the build
     return PulledView(
-        phase=neighbor.phase,
-        synch=neighbor.synch,
-        remote_port=remote_port,
-        ack=neighbor.ports[remote_port].ack,
-        valid_ports=neighbor.valid_ports,
-        phase_drops=neighbor.phase_drops,
-        detector=frozenset(neighbor_detector),
-        algo_state=neighbor.algo_state,
+        neighbor.phase,
+        neighbor.synch,
+        remote_port,
+        neighbor.ports[remote_port].ack,
+        neighbor.valid_ports,
+        neighbor.phase_drops,
+        neighbor_detector,
+        neighbor.algo_state,
     )
 
 
@@ -165,8 +170,10 @@ class TraceIndex:
         index = cls([], *([[] for _ in range(n)] for _ in range(4)), [0])
         last_t = 0
         try:
-            for ev in events:
+            for i, ev in enumerate(events):
                 t = ev["t"]
+                if type(t) is not int:
+                    raise ScenarioError(f"trace event {i}: 't' must be an integer, got {t!r}")
                 # phase lookups bisect the per-node stage lists
                 if t < last_t:
                     raise ScenarioError(f"trace event at stage {t} follows stage {last_t}")
@@ -177,9 +184,15 @@ class TraceIndex:
                     if t != len(index.stages):
                         due = len(index.stages)
                         raise ScenarioError(f"stage event {t} where stage {due} is due")
+                    # read by the checkers alone; a missing key is named here
+                    ev["edges"], ev["activated"]
                     index.stages.append(ev)
                 elif ev["kind"] == "action":
                     u = ev["node"]
+                    if type(u) is not int:
+                        raise ScenarioError(
+                            f"trace event {i}: 'node' must be an integer, got {u!r}"
+                        )
                     if not 0 <= u < n:
                         raise ScenarioError(f"stage {t}: action of node {u}, trace has n={n}")
                     if t >= len(index.stages):
@@ -193,9 +206,8 @@ class TraceIndex:
                     elif ev["branch"] == "init":
                         index.inits[u].append(ev)
         except KeyError as exc:
-            # ev is the event being read when the key was missing
-            at = next(i for i, e in enumerate(events) if e is ev)
-            raise ScenarioError(f"trace event {at} has no {exc.args[0]!r} key") from None
+            # event i was being read when the key was missing
+            raise ScenarioError(f"trace event {i} has no {exc.args[0]!r} key") from None
         if len(index.stages) != horizon:
             raise ScenarioError(f"trace has {len(index.stages)} of {horizon} stage events")
         completed = min(map(len, index.exec_stages), default=0)
@@ -354,7 +366,10 @@ def run(
         NodeState.fresh(delta, algo.init(u, None if inputs is None else inputs[u]))
         for u in range(n)
     ]
-    detectors: list[set[int]] = [set() for _ in range(n)]
+    # Each node's accumulated disconnection set. A set is replaced, never
+    # mutated, so it is also the stage-start snapshot every pull and the
+    # node's own handshake read; an empty one is the shared _NO_DROPS.
+    detectors: list[frozenset[int]] = [_NO_DROPS] * n
     last_activated = [-1] * n
     last_init_map: list[dict[int, int]] = [{} for _ in range(n)]
     rng = random.Random(scheduler.seed)
@@ -364,14 +379,15 @@ def run(
         edges = graph.edges_at(t)
         newly_dropped = disconnections_at(graph, t)
         for u in range(n):
-            detectors[u] |= newly_dropped[u]
+            if newly_dropped[u]:
+                detectors[u] = detectors[u] | newly_dropped[u]
 
         activated = scheduler.select(t, n, rng, last_activated)
         trace.add(
             {
                 "kind": "stage",
                 "t": t,
-                "edges": sorted([u, v] for u, v in edges),
+                "edges": [list(e) for e in sorted(edges)],
                 "activated": activated,
                 "disconnects": [
                     [u, sorted(newly_dropped[u])] for u in range(n) if newly_dropped[u]
@@ -381,22 +397,19 @@ def run(
 
         # Guard complementarity is a model property, so it is checked for
         # every node every stage, not just the activated ones.
-        kinds: list[ActionKind] = []
-        for u in range(n):
-            kinds.append(enabled_action(states[u]))
-            guard_checks += 1
+        kinds = [enabled_action(state) for state in states]
+        guard_checks += n
 
         replacements: dict[int, NodeState] = {}
         writes: list[tuple[int, int]] = []  # (source node, source port)
         for u in activated:
             if kinds[u] is ActionKind.HANDSHAKE:
+                occupied = sorted(ports.occupied(t, u).items())
                 reads = {
                     port: pull_view(states[v], ports.port_of(t, v, u), detectors[v])
-                    for port, v in sorted(ports.occupied(t, u).items())
+                    for port, v in occupied
                 }
-                new_state, write_ports, log = handshake(
-                    states[u], reads, frozenset(detectors[u])
-                )
+                new_state, write_ports, log = handshake(states[u], reads, detectors[u])
                 writes += [(u, p) for p in write_ports]
                 event = {
                     "kind": "action",
@@ -407,9 +420,8 @@ def run(
                     **log,
                 }
                 if log["branch"] == "init":
-                    port_map = dict(sorted(ports.occupied(t, u).items()))
-                    last_init_map[u] = port_map
-                    event["port_map"] = [[p, v] for p, v in port_map.items()]
+                    last_init_map[u] = dict(occupied)
+                    event["port_map"] = [[p, v] for p, v in occupied]
                     event["valid"] = sorted(new_state.valid_ports)
                     event["invalid"] = sorted(new_state.invalid_ports)
             else:
@@ -448,7 +460,7 @@ def run(
                 ) from exc
             apply_remote_block(states[v], remote_port)
         for u in activated:
-            detectors[u].clear()
+            detectors[u] = _NO_DROPS
             last_activated[u] = t
 
     trace.footer = {

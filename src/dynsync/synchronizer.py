@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 
 class ProtocolViolation(RuntimeError):
@@ -28,14 +28,13 @@ class ActionKind(Enum):
     EXECUTE = "execute"
 
 
-@dataclass
+@dataclass(slots=True)
 class PortFlags:
     ack: int = 0
     block: int = 0
 
 
-@dataclass(frozen=True)
-class PulledView:
+class PulledView(NamedTuple):
     """Snapshot of the neighbor behind a port, as of the start of the stage
     the pull happened in. Immutable once pulled except for ack refreshes,
     which replace only ``ack`` and keep the phase-start algorithm snapshot.
@@ -54,19 +53,13 @@ class PulledView:
     algo_state: Any
 
     def with_ack(self, ack: int) -> "PulledView":
+        phase, synch, remote_port, _, valid_ports, phase_drops, detector, algo_state = self
         return PulledView(
-            self.phase,
-            self.synch,
-            self.remote_port,
-            ack,
-            self.valid_ports,
-            self.phase_drops,
-            self.detector,
-            self.algo_state,
+            phase, synch, remote_port, ack, valid_ports, phase_drops, detector, algo_state
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     """Synchronizer variables of one anonymous node.
 
@@ -124,8 +117,12 @@ def guard_execute(state: NodeState) -> bool:
 def enabled_action(state: NodeState) -> ActionKind:
     """The single enabled action. Guards depend only on stored state, never on
     the current topology, which is why a node is enabled under arbitrary
-    dynamics."""
-    hs, ex = guard_handshake(state), guard_execute(state)
+    dynamics. Both guards are evaluated, as ``guard_handshake`` and
+    ``guard_execute`` define them, over one read of the waiting ports' blocks."""
+    ports = state.ports
+    blocks = [ports[p].block for p in state.valid_ports - state.phase_drops]
+    hs = state.synch == 0 or 0 in blocks
+    ex = state.synch == 1 and blocks.count(1) == len(blocks)
     if hs == ex:
         raise ProtocolViolation(f"guards not complementary: handshake={hs} execute={ex}")
     return ActionKind.HANDSHAKE if hs else ActionKind.EXECUTE
@@ -148,20 +145,26 @@ def _is_stranger(view: PulledView, phase: int) -> bool:
 
 
 def _ack_block_pass(
-    state: NodeState, remote_writes: list[int], acks_set: list[int], blocks_set: list[int]
+    state: NodeState,
+    waiting: list[int],
+    remote_writes: list[int],
+    acks_set: list[int],
+    blocks_set: list[int],
 ) -> None:
     # Second half of every handshake: raise acks toward same-phase partners,
     # and block (both sides) any port whose partner already acked us.
-    for port in sorted(state.waiting_ports()):
+    # ``waiting`` is the state's wait set, sorted.
+    for port in waiting:
         view = state.pulled.get(port)
-        if view is None or view.phase != state.phase or state.ports[port].block != 0:
+        flags = state.ports[port]
+        if view is None or view.phase != state.phase or flags.block != 0:
             continue
         if view.ack == 1:
             remote_writes.append(port)
-            state.ports[port].block = 1
+            flags.block = 1
             blocks_set.append(port)
         else:
-            state.ports[port].ack = 1
+            flags.ack = 1
             acks_set.append(port)
 
 
@@ -195,11 +198,16 @@ def handshake(
         )
         new.valid_ports = occupied - new.invalid_ports
         new.synch = 1
+        waiting = sorted(new.valid_ports)
         log["branch"] = "init"
     else:
+        # the wait set once this stage's drops are absorbed: the ports to
+        # refresh now and to ack or block below
+        new.phase_drops = new.phase_drops | detector
+        waiting = sorted(new.valid_ports - new.phase_drops)
         refreshed: list[int] = []
         repulled: list[int] = []
-        for port in sorted(new.valid_ports - (new.phase_drops | detector)):
+        for port in waiting:
             if port not in reads:
                 raise ProtocolViolation(
                     f"port {port} is waited on but unoccupied; engine must supply it"
@@ -212,13 +220,12 @@ def handshake(
             else:
                 new.pulled[port] = stored.with_ack(reads[port].ack)
                 refreshed.append(port)
-        new.phase_drops = new.phase_drops | detector
         log["branch"] = "continue"
         log["repulled"] = repulled
         log["ack_refreshed"] = refreshed
         log["drops_absorbed"] = sorted(detector)
 
-    _ack_block_pass(new, remote_writes, acks_set, blocks_set)
+    _ack_block_pass(new, waiting, remote_writes, acks_set, blocks_set)
     log["acks_set"] = acks_set
     log["blocks_set"] = blocks_set
     return new, tuple(remote_writes), log
@@ -228,21 +235,22 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
     """Commit the phase: feed the wrapped algorithm the views behind every
     blocked port of the wait-set origin (a blocked port that later dropped
     still counts), then advance and reset all per-port bits."""
-    new = state.clone()
-    committed = frozenset(p for p in sorted(new.valid_ports) if new.ports[p].block == 1)
-    views = [new.pulled[p] for p in sorted(committed)]
-    neighbor_states = algo.sort_states(v.algo_state for v in views)
-    new.algo_state = algo.step(new.algo_state, neighbor_states)
-    new.committed_ports = committed
-    new.phase += 1
-    new.synch = 0
-    for flags in new.ports:
-        flags.ack = 0
-        flags.block = 0
-    new.pulled = {}
+    valid = sorted(state.valid_ports)
+    committed = [p for p in valid if state.ports[p].block == 1]
+    neighbor_states = algo.sort_states(state.pulled[p].algo_state for p in committed)
+    new = NodeState(
+        delta=state.delta,
+        phase=state.phase + 1,
+        ports=[PortFlags() for _ in range(state.delta)],
+        invalid_ports=state.invalid_ports,
+        valid_ports=state.valid_ports,
+        phase_drops=state.phase_drops,
+        committed_ports=frozenset(committed),
+        algo_state=algo.step(state.algo_state, neighbor_states),
+    )
     log = {
-        "committed": sorted(committed),
-        "valid": sorted(state.valid_ports),
+        "committed": committed,
+        "valid": valid,
         "phase_drops": sorted(state.phase_drops),
     }
     return new, log

@@ -71,6 +71,48 @@ def test_property_exactly_one_action_enabled(synch, delta, data):
     enabled_action(s)  # must not raise
 
 
+@settings(max_examples=300, deadline=None)
+@given(synch=st.integers(0, 1), delta=st.integers(1, 5), data=st.data())
+def test_property_enabled_action_is_the_guard_that_holds(synch, delta, data):
+    """``enabled_action`` evaluates both guards in one pass; it names the one
+    of ``guard_handshake`` and ``guard_execute`` that holds, and raises when
+    they agree (only a block value other than 0 or 1 makes them agree)."""
+    ports = st.sets(st.integers(0, delta - 1))
+    s = NodeState.fresh(delta, algo_state=0)
+    s.synch = synch
+    s.valid_ports = frozenset(data.draw(ports))
+    s.phase_drops = frozenset(data.draw(ports))
+    for flags in s.ports:
+        flags.ack = data.draw(st.integers(0, 1))
+        flags.block = data.draw(st.sampled_from([0, 0, 1, 1, 2]))
+    hs, ex = guard_handshake(s), guard_execute(s)
+    if hs == ex:
+        with pytest.raises(ProtocolViolation, match="guards not complementary"):
+            enabled_action(s)
+    else:
+        assert enabled_action(s) is (ActionKind.HANDSHAKE if hs else ActionKind.EXECUTE)
+
+
+class TestPulledView:
+    def test_is_immutable(self):
+        v = view(phase=2, ack=0)
+        with pytest.raises(AttributeError):
+            v.ack = 1
+        with pytest.raises(TypeError):
+            v[3] = 1
+        assert v.ack == 0
+
+    def test_with_ack_changes_only_ack(self):
+        v = view(phase=3, synch=1, remote_port=2, valid=(0, 2), drops=(1,), detector=(2,))
+        w = v.with_ack(1)
+        assert type(w) is PulledView
+        assert (w.ack, v.ack) == (1, 0)
+        assert w._replace(ack=0) == v
+        for name in PulledView._fields:
+            if name != "ack":
+                assert getattr(w, name) is getattr(v, name)
+
+
 class TestInitBranch:
     def test_pulls_everything_and_fixes_wait_set(self):
         s = NodeState.fresh(2, algo_state=0)

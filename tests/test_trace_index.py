@@ -2,6 +2,7 @@
 filter of the event list, it follows ``add``, and the checkers read it
 instead of rescanning the trace once per node."""
 import json
+import re
 
 import pytest
 
@@ -134,7 +135,15 @@ def test_malformed_event_order_and_node_are_named_errors():
 
 
 @pytest.mark.parametrize(
-    "kind, key", [("stage", "kind"), ("action", "node"), ("action", "action"), ("action", "branch")]
+    "kind, key",
+    [
+        ("stage", "kind"),
+        ("stage", "edges"),
+        ("stage", "activated"),
+        ("action", "node"),
+        ("action", "action"),
+        ("action", "branch"),
+    ],
 )
 def test_missing_key_is_named(kind, key):
     trace, algo = churn_trace(2)
@@ -148,6 +157,21 @@ def test_missing_key_is_named(kind, key):
     lines[at] = json.dumps(row)
     data = "\n".join([header, *lines]).encode()
     assert_every_check_raises(data, algo, f"trace event {at} has no '{key}' key")
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("stage", "t", "0"), ("stage", "t", 0.0), ("action", "node", "1"), ("action", "node", True)],
+)
+def test_non_integer_stage_or_node_is_named(kind, key, value):
+    trace, algo = churn_trace(2)
+    header, *lines = trace.to_jsonl().decode().splitlines()
+    at, row = next((i, row) for i, row in enumerate(map(json.loads, lines)) if row["kind"] == kind)
+    row[key] = value
+    lines[at] = json.dumps(row)
+    data = "\n".join([header, *lines]).encode()
+    message = re.escape(f"trace event {at}: {key!r} must be an integer, got {value!r}")
+    assert_every_check_raises(data, algo, message)
 
 
 def test_trace_missing_init_handshakes_is_a_named_error():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -205,9 +204,7 @@ class TestMutationSelfTest:
         honest_pull = engine_mod.pull_view
 
         def lying_pull(neighbor, remote_port, neighbor_detector):
-            return dataclasses.replace(
-                honest_pull(neighbor, remote_port, neighbor_detector), ack=1
-            )
+            return honest_pull(neighbor, remote_port, neighbor_detector).with_ack(1)
 
         caught = 0
         for seed in range(10):
