@@ -1,9 +1,10 @@
 """Semi-synchronous execution engine.
 
-Each stage: apply the stage's edge set and fold boundary disconnections into
-the per-node detectors, pick the activation set, evaluate every activated
-node's single enabled action against the stage-start snapshot, then land all
-local state replacements followed by all remote block writes (both are
+The schedule, every stage's activation set, is computed before the first
+stage. Each stage: apply the stage's edge set and fold boundary disconnections
+into the per-node detectors, evaluate every activated node's single enabled
+action against the stage-start snapshot, then land all local state
+replacements followed by all remote block writes (both are
 order-independent), and finally clear the detectors of the activated nodes.
 
 The engine owns all ground truth (node identities behind ports, presence
@@ -12,6 +13,7 @@ port-indexed snapshots.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
 from bisect import bisect_left
@@ -89,25 +91,38 @@ class SchedulerPolicy:
             fairness_bound=sched["fairness_bound"],
         )
 
-    def select(self, t: int, n: int, rng: random.Random, last_activated: list[int]) -> list[int]:
+    def schedule(self, n: int, horizon: int) -> list[list[int]]:
+        """Each of the horizon stages' activation set, as a sorted list."""
         if self.kind == "all-active":
-            return list(range(n))
+            return [list(range(n)) for _ in range(horizon)]
         if self.kind == "sequential":
-            return [t % n]
+            return [[t % n] for t in range(horizon)]
         if self.kind == "scripted":
-            if t >= len(self.script):
-                raise ScenarioError(f"scheduler script ends at stage {len(self.script)}, need {t}")
-            chosen = sorted(set(self.script[t]))
-            if chosen and not (0 <= chosen[0] and chosen[-1] < n):
-                raise ScenarioError(f"stage {t}: scripted activation out of range: {chosen}")
-            return chosen
+            if len(self.script) < horizon:
+                raise ScenarioError(
+                    f"scheduler script covers {len(self.script)} stages, horizon is {horizon}"
+                )
+            stages = [sorted(set(chosen)) for chosen in self.script[:horizon]]
+            for t, chosen in enumerate(stages):
+                if chosen and not (0 <= chosen[0] and chosen[-1] < n):
+                    raise ScenarioError(f"stage {t}: scripted activation out of range: {chosen}")
+            return stages
         # random-subset draws one coin per node per stage, in node order, so
-        # the stream is stable no matter what it selects.
-        chosen = {u for u in range(n) if rng.random() < self.p_activate}
-        for u in range(n):
-            if t - last_activated[u] >= self.fairness_bound:
-                chosen.add(u)
-        return sorted(chosen)
+        # the stream is stable no matter what it selects, and forces in any
+        # node idle for fairness_bound stages.
+        rng = random.Random(self.seed)
+        last = [-1] * n
+        stages = []
+        for t in range(horizon):
+            chosen = [
+                u
+                for u in range(n)
+                if rng.random() < self.p_activate or t - last[u] >= self.fairness_bound
+            ]
+            for u in chosen:
+                last[u] = t
+            stages.append(chosen)
+        return stages
 
 
 def pull_view(
@@ -119,7 +134,7 @@ def pull_view(
         neighbor.phase,
         neighbor.synch,
         remote_port,
-        neighbor.ports[remote_port].ack,
+        1 if remote_port in neighbor.acked else 0,
         neighbor.valid_ports,
         neighbor.phase_drops,
         neighbor_detector,
@@ -180,14 +195,15 @@ class TraceIndex:
                 if t >= horizon:
                     raise ScenarioError(f"trace event at stage {t}, horizon is {horizon}")
                 last_t = t
-                if ev["kind"] == "stage":
+                kind = ev["kind"]
+                if kind == "stage":
                     if t != len(index.stages):
                         due = len(index.stages)
                         raise ScenarioError(f"stage event {t} where stage {due} is due")
                     # read by the checkers alone; a missing key is named here
                     ev["edges"], ev["activated"]
                     index.stages.append(ev)
-                elif ev["kind"] == "action":
+                elif kind == "action":
                     u = ev["node"]
                     if type(u) is not int:
                         raise ScenarioError(
@@ -200,11 +216,20 @@ class TraceIndex:
                             f"stage {t}: action of node {u} before the stage event"
                         )
                     index.actions[u].append(ev)
-                    if ev["action"] == "execute":
+                    action = ev["action"]
+                    if action == "execute":
                         index.executes[u].append(ev)
                         index.exec_stages[u].append(t)
-                    elif ev["branch"] == "init":
-                        index.inits[u].append(ev)
+                    elif action == "handshake":
+                        branch = ev["branch"]
+                        if branch == "init":
+                            index.inits[u].append(ev)
+                        elif branch != "continue":
+                            raise ScenarioError(f"trace event {i}: unknown branch {branch!r}")
+                    else:
+                        raise ScenarioError(f"trace event {i}: unknown action {action!r}")
+                else:
+                    raise ScenarioError(f"trace event {i}: unknown kind {kind!r}")
         except KeyError as exc:
             # event i was being read when the key was missing
             raise ScenarioError(f"trace event {i} has no {exc.args[0]!r} key") from None
@@ -221,19 +246,15 @@ class TraceIndex:
         return bisect_left(self.exec_stages[u], t)
 
 
+@dataclass
 class RunTrace:
     """Replayable structured record of one run: a header followed by one
-    event per stage / per activated node action, in execution order."""
+    event per stage / per activated node action, in execution order, and a
+    footer (empty when the trace has none)."""
 
-    def __init__(self, header: dict):
-        self.header = header
-        self.events: list[dict] = []
-        self.footer: dict = {}
-        self._index: TraceIndex | None = None
-
-    def add(self, event: dict) -> None:
-        self.events.append(event)
-        self._index = None
+    header: dict
+    events: list[dict]
+    footer: dict
 
     # -- serialization ----------------------------------------------------
 
@@ -253,7 +274,9 @@ class RunTrace:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ScenarioError(f"trace is not UTF-8: {exc}") from None
-        trace: RunTrace | None = None
+        header: dict | None = None
+        events: list[dict] = []
+        footer: dict = {}
         ended = False
         for k, line in enumerate(text.splitlines(), 1):
             if not line:
@@ -274,23 +297,22 @@ class RunTrace:
                 got = type(row).__name__
                 raise ScenarioError(f"trace line {k}: expected a JSON object, got {got}")
             kind = row.get("kind")
-            if trace is None:
+            if header is None:
                 if kind != "header":
                     raise ScenarioError("trace does not start with a header line")
-                trace = cls({key: v for key, v in row.items() if key != "kind"})
-                events = trace.events
+                header = {key: v for key, v in row.items() if key != "kind"}
             elif ended:
                 raise ScenarioError(f"trace line {k}: line after the footer")
             elif kind == "footer":
-                trace.footer = {key: v for key, v in row.items() if key != "kind"}
+                footer = {key: v for key, v in row.items() if key != "kind"}
                 ended = True
             elif kind == "header":
                 raise ScenarioError(f"trace line {k}: second header line")
             else:
                 events.append(row)
-        if trace is None:
+        if header is None:
             raise ScenarioError("trace does not start with a header line")
-        return trace
+        return cls(header, events, footer)
 
     # -- accessors ---------------------------------------------------------
 
@@ -302,13 +324,10 @@ class RunTrace:
     def horizon(self) -> int:
         return self.header["horizon"]
 
-    @property
+    @functools.cached_property
     def index(self) -> TraceIndex:
-        """The per-node index of the events, built on first use after the
-        last ``add``."""
-        if self._index is None:
-            self._index = TraceIndex.build(self.n, self.horizon, self.events)
-        return self._index
+        """The per-node index of the events, built on first use."""
+        return TraceIndex.build(self.n, self.horizon, self.events)
 
     def stage_events(self) -> list[dict]:
         return list(self.index.stages)
@@ -333,11 +352,8 @@ def run(
     """Execute the synchronizer for every stage of the graph's lifetime and
     return the trace."""
     ports, horizon = graph.ports, graph.lifetime
-    if scheduler.kind == "scripted" and len(scheduler.script) < horizon:
-        raise ScenarioError(
-            f"scheduler script covers {len(scheduler.script)} stages, horizon is {horizon}"
-        )
     n, delta = graph.n, graph.delta
+    schedule = scheduler.schedule(n, horizon)
     if inputs is not None and len(inputs) != n:
         raise ScenarioError(f"got {len(inputs)} inputs for {n} nodes")
 
@@ -360,30 +376,27 @@ def run(
     }
     if header_extra:
         header.update(header_extra)
-    trace = RunTrace(header)
 
+    events: list[dict] = []
     states = [
-        NodeState.fresh(delta, algo.init(u, None if inputs is None else inputs[u]))
+        NodeState(delta, algo_state=algo.init(u, None if inputs is None else inputs[u]))
         for u in range(n)
     ]
     # Each node's accumulated disconnection set. A set is replaced, never
     # mutated, so it is also the stage-start snapshot every pull and the
     # node's own handshake read; an empty one is the shared _NO_DROPS.
     detectors: list[frozenset[int]] = [_NO_DROPS] * n
-    last_activated = [-1] * n
     last_init_map: list[dict[int, int]] = [{} for _ in range(n)]
-    rng = random.Random(scheduler.seed)
     guard_checks = 0
 
-    for t in range(horizon):
+    for t, activated in enumerate(schedule):
         edges = graph.edges_at(t)
         newly_dropped = disconnections_at(graph, t)
         for u in range(n):
             if newly_dropped[u]:
                 detectors[u] = detectors[u] | newly_dropped[u]
 
-        activated = scheduler.select(t, n, rng, last_activated)
-        trace.add(
+        events.append(
             {
                 "kind": "stage",
                 "t": t,
@@ -401,16 +414,23 @@ def run(
         guard_checks += n
 
         replacements: dict[int, NodeState] = {}
-        writes: list[tuple[int, int]] = []  # (source node, source port)
+        writes: list[tuple[int, int]] = []  # (target node, target port)
         for u in activated:
             if kinds[u] is ActionKind.HANDSHAKE:
                 occupied = sorted(ports.occupied(t, u).items())
+                # port -> (neighbor, the neighbor's port back to u)
+                behind = {port: (v, ports.port_of(t, v, u)) for port, v in occupied}
                 reads = {
-                    port: pull_view(states[v], ports.port_of(t, v, u), detectors[v])
-                    for port, v in occupied
+                    port: pull_view(states[v], remote_port, detectors[v])
+                    for port, (v, remote_port) in behind.items()
                 }
                 new_state, write_ports, log = handshake(states[u], reads, detectors[u])
-                writes += [(u, p) for p in write_ports]
+                for port in write_ports:
+                    if port not in behind:
+                        raise InternalInvariantError(
+                            f"stage {t}: node {u} block-writes through dead port {port}"
+                        )
+                    writes.append(behind[port])
                 event = {
                     "kind": "action",
                     "t": t,
@@ -446,29 +466,21 @@ def run(
                     **log,
                 }
             replacements[u] = new_state
-            trace.add(event)
+            events.append(event)
 
         for u, new_state in replacements.items():
             states[u] = new_state
-        for u, port in writes:
-            try:
-                v = ports.node_behind(t, u, port)
-                remote_port = ports.port_of(t, v, u)
-            except KeyError as exc:
-                raise InternalInvariantError(
-                    f"stage {t}: node {u} block-writes through dead port {port}"
-                ) from exc
-            apply_remote_block(states[v], remote_port)
+        for v, port in writes:
+            apply_remote_block(states[v], port)
         for u in activated:
             detectors[u] = _NO_DROPS
-            last_activated[u] = t
 
-    trace.footer = {
+    footer = {
         "stages": horizon,
         "guard_checks": guard_checks,
         "final_phases": [states[u].phase for u in range(n)],
     }
-    return trace
+    return RunTrace(header, events, footer)
 
 
 @dataclass

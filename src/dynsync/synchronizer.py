@@ -4,7 +4,8 @@ step per phase on whatever edges survive a two-round ack/block handshake.
 Each node keeps, per port, a one-bit ack it raises after reading a same-phase
 neighbor, and a one-bit block register that either endpoint may set once it
 has seen the other side's ack; the block register is the only remotely
-writable bit. A node advances its phase (runs the wrapped algorithm's step)
+writable bit. A node stores each register as the set of its ports whose bit
+is 1. A node advances its phase (runs the wrapped algorithm's step)
 exactly when every port it still waits on is blocked. Ports whose edge
 vanished since the phase started are dropped from the wait set, but a port
 that was blocked before vanishing still feeds the step.
@@ -26,12 +27,6 @@ class ProtocolViolation(RuntimeError):
 class ActionKind(Enum):
     HANDSHAKE = "handshake"
     EXECUTE = "execute"
-
-
-@dataclass(slots=True)
-class PortFlags:
-    ack: int = 0
-    block: int = 0
 
 
 class PulledView(NamedTuple):
@@ -63,6 +58,7 @@ class PulledView(NamedTuple):
 class NodeState:
     """Synchronizer variables of one anonymous node.
 
+    acked and blocked are the ports whose ack bit and block register are 1.
     valid_ports is fixed when a phase's first activation runs; invalid_ports
     holds the ports excluded at that moment. phase_drops accumulates ports
     whose edge vanished during the current phase. committed_ports is the edge
@@ -72,7 +68,8 @@ class NodeState:
     delta: int
     synch: int = 0
     phase: int = 0
-    ports: list[PortFlags] = field(default_factory=list)
+    acked: frozenset[int] = frozenset()
+    blocked: frozenset[int] = frozenset()
     invalid_ports: frozenset[int] = frozenset()
     valid_ports: frozenset[int] = frozenset()
     phase_drops: frozenset[int] = frozenset()
@@ -80,22 +77,20 @@ class NodeState:
     pulled: dict[int, PulledView] = field(default_factory=dict)
     algo_state: Any = None
 
-    @classmethod
-    def fresh(cls, delta: int, algo_state: Any) -> "NodeState":
-        return cls(delta=delta, ports=[PortFlags() for _ in range(delta)], algo_state=algo_state)
-
     def clone(self) -> "NodeState":
+        # every field but pulled is immutable, so only pulled is copied
         return NodeState(
-            delta=self.delta,
-            synch=self.synch,
-            phase=self.phase,
-            ports=[PortFlags(p.ack, p.block) for p in self.ports],
-            invalid_ports=self.invalid_ports,
-            valid_ports=self.valid_ports,
-            phase_drops=self.phase_drops,
-            committed_ports=self.committed_ports,
-            pulled=dict(self.pulled),
-            algo_state=self.algo_state,
+            self.delta,
+            self.synch,
+            self.phase,
+            self.acked,
+            self.blocked,
+            self.invalid_ports,
+            self.valid_ports,
+            self.phase_drops,
+            self.committed_ports,
+            dict(self.pulled),
+            self.algo_state,
         )
 
     def waiting_ports(self) -> frozenset[int]:
@@ -103,26 +98,18 @@ class NodeState:
 
 
 def guard_handshake(state: NodeState) -> bool:
-    return state.synch == 0 or any(
-        state.ports[p].block == 0 for p in state.waiting_ports()
-    )
+    return state.synch == 0 or not state.waiting_ports() <= state.blocked
 
 
 def guard_execute(state: NodeState) -> bool:
-    return state.synch == 1 and all(
-        state.ports[p].block == 1 for p in state.waiting_ports()
-    )
+    return state.synch == 1 and state.waiting_ports() <= state.blocked
 
 
 def enabled_action(state: NodeState) -> ActionKind:
     """The single enabled action. Guards depend only on stored state, never on
     the current topology, which is why a node is enabled under arbitrary
-    dynamics. Both guards are evaluated, as ``guard_handshake`` and
-    ``guard_execute`` define them, over one read of the waiting ports' blocks."""
-    ports = state.ports
-    blocks = [ports[p].block for p in state.valid_ports - state.phase_drops]
-    hs = state.synch == 0 or 0 in blocks
-    ex = state.synch == 1 and blocks.count(1) == len(blocks)
+    dynamics."""
+    hs, ex = guard_handshake(state), guard_execute(state)
     if hs == ex:
         raise ProtocolViolation(f"guards not complementary: handshake={hs} execute={ex}")
     return ActionKind.HANDSHAKE if hs else ActionKind.EXECUTE
@@ -144,30 +131,6 @@ def _is_stranger(view: PulledView, phase: int) -> bool:
     )
 
 
-def _ack_block_pass(
-    state: NodeState,
-    waiting: list[int],
-    remote_writes: list[int],
-    acks_set: list[int],
-    blocks_set: list[int],
-) -> None:
-    # Second half of every handshake: raise acks toward same-phase partners,
-    # and block (both sides) any port whose partner already acked us.
-    # ``waiting`` is the state's wait set, sorted.
-    for port in waiting:
-        view = state.pulled.get(port)
-        flags = state.ports[port]
-        if view is None or view.phase != state.phase or flags.block != 0:
-            continue
-        if view.ack == 1:
-            remote_writes.append(port)
-            flags.block = 1
-            blocks_set.append(port)
-        else:
-            flags.ack = 1
-            acks_set.append(port)
-
-
 def handshake(
     state: NodeState,
     reads: Mapping[int, PulledView],
@@ -177,14 +140,11 @@ def handshake(
 
     ``reads`` must cover exactly the currently occupied ports; ``detector``
     is this node's accumulated disconnection set at stage start. Returns the
-    replacement state, the local ports through which a remote block write
-    must be sent (their edges are necessarily live this stage), and a log
-    payload for the trace.
+    replacement state, the local ports it blocked, through which a remote
+    block write must be sent (their edges are necessarily live this stage),
+    and a log payload for the trace.
     """
     new = state.clone()
-    remote_writes: list[int] = []
-    acks_set: list[int] = []
-    blocks_set: list[int] = []
     log: dict = {}
 
     if state.synch == 0:
@@ -225,23 +185,34 @@ def handshake(
         log["ack_refreshed"] = refreshed
         log["drops_absorbed"] = sorted(detector)
 
-    _ack_block_pass(new, waiting, remote_writes, acks_set, blocks_set)
+    # Second half of every handshake: raise acks toward same-phase partners,
+    # and block (both sides) any port whose partner already acked us.
+    acks_set: list[int] = []
+    blocks_set: list[int] = []
+    for port in waiting:
+        view = new.pulled[port]
+        if view.phase != new.phase or port in new.blocked:
+            continue
+        if view.ack == 1:
+            blocks_set.append(port)
+        else:
+            acks_set.append(port)
+    new.acked = new.acked.union(acks_set)
+    new.blocked = new.blocked.union(blocks_set)
     log["acks_set"] = acks_set
     log["blocks_set"] = blocks_set
-    return new, tuple(remote_writes), log
+    return new, tuple(blocks_set), log
 
 
 def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
     """Commit the phase: feed the wrapped algorithm the views behind every
     blocked port of the wait-set origin (a blocked port that later dropped
     still counts), then advance and reset all per-port bits."""
-    valid = sorted(state.valid_ports)
-    committed = [p for p in valid if state.ports[p].block == 1]
+    committed = sorted(state.valid_ports & state.blocked)
     neighbor_states = algo.sort_states(state.pulled[p].algo_state for p in committed)
     new = NodeState(
         delta=state.delta,
         phase=state.phase + 1,
-        ports=[PortFlags() for _ in range(state.delta)],
         invalid_ports=state.invalid_ports,
         valid_ports=state.valid_ports,
         phase_drops=state.phase_drops,
@@ -250,7 +221,7 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
     )
     log = {
         "committed": committed,
-        "valid": valid,
+        "valid": sorted(state.valid_ports),
         "phase_drops": sorted(state.phase_drops),
     }
     return new, log
@@ -259,7 +230,7 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
 def apply_remote_block(state: NodeState, port: int) -> None:
     """Land a remote block write: a one-way 0 -> 1 transition, applied after
     all local state replacements of the stage."""
-    state.ports[port].block = 1
+    state.blocked = state.blocked | {port}
 
 
 PHASE_BYTES = 8  # fixed-width pulled-phase record in the canonical encoding
@@ -278,10 +249,9 @@ def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
     phase_bytes = phase.to_bytes(max(1, (phase.bit_length() + 7) // 8), "big")
     body = bytearray([state.synch & 1, state.delta])
     for port in range(state.delta):
-        flags = state.ports[port]
         view = state.pulled.get(port)
         present, ack, pulled_phase = (0, 0, 0) if view is None else (1, view.ack, view.phase)
-        body += bytes((flags.ack, flags.block, present, ack))
+        body += bytes((port in state.acked, port in state.blocked, present, ack))
         body += pulled_phase.to_bytes(PHASE_BYTES, "big")
     for members in (
         state.invalid_ports,

@@ -144,9 +144,6 @@ class PortAssignment:
         """port -> neighbor for node u at stage t."""
         return self.by_stage[t][u]
 
-    def node_behind(self, t: int, u: int, port: int) -> int:
-        return self.occupied(t, u)[port]
-
     def port_of(self, t: int, u: int, v: int) -> int:
         try:
             return self.inverse[t][u][v]

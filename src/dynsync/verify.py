@@ -8,14 +8,13 @@ phase must have committed, and confronts the extracted history with it.
 """
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from .algorithms import SyncAlgorithm, make_algorithm, reference_run
-from .engine import RunTrace, SchedulerPolicy, run
+from .engine import RunTrace, SchedulerPolicy, _dumps, run
 from .tvg import (
     Edge,
     PortAssignment,
@@ -360,10 +359,8 @@ class Observation:
     dropped: tuple[int, ...]
 
     def to_bytes(self) -> bytes:
-        return json.dumps(
-            {"ports": [list(p) for p in self.ports], "dropped": list(self.dropped)},
-            sort_keys=True,
-            separators=(",", ":"),
+        return _dumps(
+            {"ports": [list(p) for p in self.ports], "dropped": list(self.dropped)}
         ).encode("ascii")
 
 
@@ -449,8 +446,9 @@ def _run_classic(protocol: ClassicPullProtocol, script: tuple[tuple[int, ...], .
     streams: dict[int, list[str]] = {0: [], 1: []}
     decisions: dict[int, tuple[int, int] | None] = {0: None, 1: None}
     for t in range(DEMO_HORIZON):
+        dropped = disconnections_at(graph, t)
         for u in range(2):
-            detectors[u] |= disconnections_at(graph, t)[u]
+            detectors[u] |= dropped[u]
         exposed = [protocol.exposed(states[u]) for u in range(2)]
         new_states = list(states)
         for u in script[t]:

@@ -1,5 +1,9 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ import dynsync.cli
 from dynsync.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_INVALID,
+    EXIT_INTERNAL,
     EXIT_OK,
     ScenarioConfig,
     bundled_scenarios,
@@ -17,6 +22,7 @@ from dynsync.cli import (
     main,
 )
 from dynsync.engine import RunTrace, fairness_audit
+from dynsync.synchronizer import handshake
 from dynsync.tvg import ScenarioError
 from dynsync.verify import (
     check_correctness,
@@ -201,6 +207,19 @@ class TestRunCommand:
             tmp_path, name="lazy", scheduler={"kind": "scripted", "stages": [[0, 1]] * 8}
         )
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+
+    def test_block_write_through_an_unoccupied_port_exits_internal(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def dead_port_handshake(state, reads, detector):
+            new, _, log = handshake(state, reads, detector)
+            return new, (state.delta - 1,), log
+
+        monkeypatch.setattr("dynsync.engine.handshake", dead_port_handshake)
+        path = write_config(tmp_path, name="dead", delta=2)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "internal invariant violated: stage 0: node 0 block-writes through dead port 1" in err
 
     def test_algorithm_params_exit_config_invalid(self, tmp_path, capsys):
         path = write_config(tmp_path, algorithm={"name": "counter", "params": {"terminate_at": 3}})
@@ -387,3 +406,22 @@ def test_scenarios_subcommand_lists_bundled(capsys):
     assert main(["scenarios"]) == EXIT_OK
     names = capsys.readouterr().out.split()
     assert names == ["churn_mesh", "edge_agreement_cases", "static_triangle"]
+
+
+def test_python_m_dynsync_runs_the_packaged_entry_point(tmp_path):
+    src = str(Path(dynsync.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def dynsync_m(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dynsync", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    ran = dynsync_m("run", "static_triangle", "--out", str(tmp_path / "out"), "-q")
+    assert ran.returncode == EXIT_OK, ran.stderr
+    assert ran.stdout == "RESULT PASS\n"
+    listed = dynsync_m("scenarios")
+    assert listed.returncode == EXIT_OK, listed.stderr
+    assert listed.stdout.split() == ["churn_mesh", "edge_agreement_cases", "static_triangle"]

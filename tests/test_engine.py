@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from dynsync.algorithms import make_algorithm
 from dynsync.cli import bundled_scenarios, execute_scenario, load_config
-from dynsync.engine import RunTrace, SchedulerPolicy, _dumps, fairness_audit, run
+from dynsync.engine import (
+    InternalInvariantError,
+    RunTrace,
+    SchedulerPolicy,
+    _dumps,
+    fairness_audit,
+    run,
+)
+from dynsync.synchronizer import handshake
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
 from dynsync.verify import (
     check_correctness,
@@ -64,22 +72,22 @@ def json_values(text):
 class TestScheduler:
     def test_all_active(self):
         pol = SchedulerPolicy(kind="all-active")
-        assert pol.select(4, 3, random.Random(0), [-1, -1, -1]) == [0, 1, 2]
+        assert pol.schedule(3, 5) == [[0, 1, 2]] * 5
 
     def test_sequential_round_robin(self):
         pol = SchedulerPolicy(kind="sequential")
-        picks = [pol.select(t, 3, random.Random(0), [0, 0, 0]) for t in range(6)]
+        picks = pol.schedule(3, 6)
         assert picks == [[0], [1], [2], [0], [1], [2]]
 
     def test_scripted_validates_range(self):
         pol = SchedulerPolicy(kind="scripted", script=((5,),))
-        with pytest.raises(ScenarioError):
-            pol.select(0, 3, random.Random(0), [-1, -1, -1])
+        with pytest.raises(ScenarioError, match="stage 0: scripted activation out of range"):
+            pol.schedule(3, 1)
 
     def test_scripted_past_end_rejected(self):
         pol = SchedulerPolicy(kind="scripted", script=((0,),))
-        with pytest.raises(ScenarioError):
-            pol.select(1, 1, random.Random(0), [-1])
+        with pytest.raises(ScenarioError, match="scheduler script covers 1 stages, horizon is 2"):
+            pol.schedule(1, 2)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError):
@@ -91,10 +99,9 @@ class TestScheduler:
         """Even at p_activate 0 every node is force-activated within the bound."""
         n, horizon = 5, 60
         pol = SchedulerPolicy(kind="random-subset", seed=seed, p_activate=p, fairness_bound=bound)
-        rng = random.Random(seed)
         last = [-1] * n
-        for t in range(horizon):
-            for u in pol.select(t, n, rng, last):
+        for t, chosen in enumerate(pol.schedule(n, horizon)):
+            for u in chosen:
                 assert t - last[u] <= bound
                 last[u] = t
         assert all(t - last[u] <= bound for u in range(n) for t in [horizon - 1])
@@ -127,8 +134,7 @@ class TestTraceFormat:
     def test_dumps_raises_on_a_cycle_and_on_non_json_values(self):
         looped = {"kind": "stage", "t": 0}
         looped["self"] = looped
-        trace = RunTrace({"n": 1})
-        trace.add(looped)
+        trace = RunTrace({"n": 1}, [looped], {})
         with pytest.raises(RecursionError):
             trace.to_jsonl()
         with pytest.raises(TypeError, match="not JSON serializable"):
@@ -336,6 +342,35 @@ class TestRunValidation:
         g = TimeVaryingGraph(3, 1, (frozenset(),))
         with pytest.raises(ScenarioError):
             run(g, SchedulerPolicy(kind="all-active"), make_algorithm("max-flood"), inputs=[1, 2])
+
+    def test_block_write_through_an_unoccupied_port_is_an_internal_error(self, monkeypatch):
+        def dead_port_handshake(state, reads, detector):
+            new, _, log = handshake(state, reads, detector)
+            return new, (state.delta - 1,), log
+
+        monkeypatch.setattr("dynsync.engine.handshake", dead_port_handshake)
+        # node 0's edge to node 1 sits on port 0, so its port 1 is free
+        g = TimeVaryingGraph(2, 2, (frozenset({(0, 1)}),) * 3)
+        with pytest.raises(
+            InternalInvariantError, match="stage 0: node 0 block-writes through dead port 1"
+        ):
+            run(g, SchedulerPolicy(kind="all-active"), make_algorithm("counter"))
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_a_run_is_a_function_of_graph_schedule_and_algorithm(name):
+    """The stage events record the scheduler's schedule, and re-running the
+    graph under that schedule, scripted, repeats every event and the footer."""
+    config = load_config(name)
+    graph, scheduler = config.build_graph(), config.build_scheduler()
+    algo, inputs = config.build_algorithm()
+    trace = run(graph, scheduler, algo, inputs=inputs)
+    schedule = scheduler.schedule(graph.n, graph.lifetime)
+    assert [ev["activated"] for ev in trace.index.stages] == schedule
+    scripted = SchedulerPolicy(kind="scripted", script=tuple(map(tuple, schedule)))
+    replay = run(config.build_graph(), scripted, algo, inputs=inputs)
+    assert replay.events == trace.events
+    assert replay.footer == trace.footer
 
 
 @settings(max_examples=25, deadline=None)

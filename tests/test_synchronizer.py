@@ -6,7 +6,6 @@ from dynsync.algorithms import CounterAlgo
 from dynsync.synchronizer import (
     ActionKind,
     NodeState,
-    PortFlags,
     ProtocolViolation,
     PulledView,
     apply_remote_block,
@@ -42,9 +41,9 @@ def view(
 
 
 def test_fresh_state_wants_a_handshake():
-    s = NodeState.fresh(3, algo_state=0)
-    assert (s.synch, s.phase) == (0, 0)
-    assert len(s.ports) == 3
+    s = NodeState(3, algo_state=0)
+    assert (s.delta, s.synch, s.phase) == (3, 0, 0)
+    assert s.acked == s.blocked == frozenset()
     assert enabled_action(s) is ActionKind.HANDSHAKE
 
 
@@ -61,30 +60,28 @@ def test_property_exactly_one_action_enabled(synch, delta, data):
     valid = data.draw(ports)
     drops = data.draw(ports)
     blocked = data.draw(ports)
-    s = NodeState.fresh(delta, algo_state=0)
+    s = NodeState(delta, algo_state=0)
     s.synch = synch
     s.valid_ports = frozenset(valid)
     s.phase_drops = frozenset(drops)
-    for p in blocked:
-        s.ports[p].block = 1
+    s.blocked = frozenset(blocked)
     assert guard_handshake(s) != guard_execute(s)
     enabled_action(s)  # must not raise
 
 
 @settings(max_examples=300, deadline=None)
-@given(synch=st.integers(0, 1), delta=st.integers(1, 5), data=st.data())
+@given(synch=st.integers(0, 2), delta=st.integers(1, 5), data=st.data())
 def test_property_enabled_action_is_the_guard_that_holds(synch, delta, data):
-    """``enabled_action`` evaluates both guards in one pass; it names the one
-    of ``guard_handshake`` and ``guard_execute`` that holds, and raises when
-    they agree (only a block value other than 0 or 1 makes them agree)."""
+    """``enabled_action`` names the one of ``guard_handshake`` and
+    ``guard_execute`` that holds, and raises when they agree (only a synch
+    value other than 0 or 1 makes them agree)."""
     ports = st.sets(st.integers(0, delta - 1))
-    s = NodeState.fresh(delta, algo_state=0)
+    s = NodeState(delta, algo_state=0)
     s.synch = synch
     s.valid_ports = frozenset(data.draw(ports))
     s.phase_drops = frozenset(data.draw(ports))
-    for flags in s.ports:
-        flags.ack = data.draw(st.integers(0, 1))
-        flags.block = data.draw(st.sampled_from([0, 0, 1, 1, 2]))
+    s.acked = frozenset(data.draw(ports))
+    s.blocked = frozenset(data.draw(ports))
     hs, ex = guard_handshake(s), guard_execute(s)
     if hs == ex:
         with pytest.raises(ProtocolViolation, match="guards not complementary"):
@@ -115,7 +112,7 @@ class TestPulledView:
 
 class TestInitBranch:
     def test_pulls_everything_and_fixes_wait_set(self):
-        s = NodeState.fresh(2, algo_state=0)
+        s = NodeState(2, algo_state=0)
         reads = {0: view(remote_port=1), 1: view(remote_port=0)}
         new, writes, log = handshake(s, reads, frozenset())
         assert log["branch"] == "init"
@@ -137,28 +134,28 @@ class TestInitBranch:
         ],
     )
     def test_stranger_classification(self, neighbor, stranger):
-        s = NodeState.fresh(1, algo_state=0)
+        s = NodeState(1, algo_state=0)
         new, _, _ = handshake(s, {0: view(**neighbor)}, frozenset())
         assert (0 in new.invalid_ports) is stranger
         assert (0 in new.valid_ports) is (not stranger)
 
     def test_same_stage_partner_with_ack_gets_blocked_immediately(self):
-        s = NodeState.fresh(1, algo_state=0)
+        s = NodeState(1, algo_state=0)
         new, writes, log = handshake(s, {0: view(valid=(0,), ack=1)}, frozenset())
-        assert new.ports[0].block == 1
+        assert 0 in new.blocked
         assert writes == (0,)
         assert log["blocks_set"] == [0]
 
     def test_partner_without_ack_gets_acked(self):
-        s = NodeState.fresh(1, algo_state=0)
+        s = NodeState(1, algo_state=0)
         new, writes, log = handshake(s, {0: view()}, frozenset())
-        assert new.ports[0].ack == 1
-        assert new.ports[0].block == 0
+        assert 0 in new.acked
+        assert 0 not in new.blocked
         assert writes == ()
         assert log["acks_set"] == [0]
 
     def test_phase_drops_reset_at_phase_start(self):
-        s = NodeState.fresh(1, algo_state=0)
+        s = NodeState(1, algo_state=0)
         s.phase_drops = frozenset({0})
         new, _, _ = handshake(s, {}, frozenset())
         assert new.phase_drops == frozenset()
@@ -166,7 +163,7 @@ class TestInitBranch:
 
 class TestContinueBranch:
     def started(self):
-        s = NodeState.fresh(2, algo_state=0)
+        s = NodeState(2, algo_state=0)
         reads = {0: view(algo_state=10), 1: view(algo_state=20)}
         new, _, _ = handshake(s, reads, frozenset())
         return new
@@ -205,9 +202,9 @@ class TestContinueBranch:
     def test_second_round_blocks_after_seeing_ack(self):
         s = self.started()
         new, writes, log = handshake(s, {0: view(ack=1), 1: view()}, frozenset())
-        assert new.ports[0].block == 1
+        assert 0 in new.blocked
         assert writes == (0,)
-        assert new.ports[1].ack == 1
+        assert 1 in new.acked
         assert log["blocks_set"] == [0]
         assert log["acks_set"] == [1]
 
@@ -215,12 +212,11 @@ class TestContinueBranch:
 class TestExecute:
     def test_blocked_then_dropped_port_still_feeds_the_step(self):
         algo = CounterAlgo()
-        s = NodeState.fresh(2, algo_state=algo.init(0))
+        s = NodeState(2, algo_state=algo.init(0))
         s.synch = 1
         s.valid_ports = frozenset({0, 1})
         s.phase_drops = frozenset({1})  # dropped after its block was set
-        s.ports[0].block = 1
-        s.ports[1].block = 1
+        s.blocked = frozenset({0, 1})
         s.pulled = {0: view(algo_state=0), 1: view(algo_state=0)}
         assert enabled_action(s) is ActionKind.EXECUTE
         new, log = execute_synch(s, algo)
@@ -230,35 +226,34 @@ class TestExecute:
 
     def test_unblocked_invalid_port_excluded(self):
         algo = CounterAlgo()
-        s = NodeState.fresh(2, algo_state=algo.init(0))
+        s = NodeState(2, algo_state=algo.init(0))
         s.synch = 1
         s.valid_ports = frozenset({0})
-        s.ports[0].block = 1
-        s.ports[1].block = 1  # blocked but never valid this phase
+        s.blocked = frozenset({0, 1})  # port 1 blocked but never valid this phase
         s.pulled = {0: view()}
         new, log = execute_synch(s, algo)
         assert log["committed"] == [0]
 
     def test_advances_phase_and_resets_everything(self):
         algo = CounterAlgo()
-        s = NodeState.fresh(1, algo_state=algo.init(0))
+        s = NodeState(1, algo_state=algo.init(0))
         s.synch = 1
         s.valid_ports = frozenset({0})
-        s.ports[0].ack = 1
-        s.ports[0].block = 1
+        s.acked = frozenset({0})
+        s.blocked = frozenset({0})
         s.pulled = {0: view(algo_state=5)}
         new, _ = execute_synch(s, algo)
         assert (new.phase, new.synch) == (1, 0)
         assert new.algo_state == 1
         assert new.pulled == {}
-        assert new.ports[0].ack == 0 and new.ports[0].block == 0
+        assert 0 not in new.acked and 0 not in new.blocked
         assert new.committed_ports == frozenset({0})
         # the pre-step state is untouched; the engine swaps it in atomically
         assert s.phase == 0 and s.pulled
 
     def test_isolated_node_steps_alone(self):
         algo = CounterAlgo()
-        s = NodeState.fresh(1, algo_state=algo.init(0))
+        s = NodeState(1, algo_state=algo.init(0))
         s.synch = 1
         new, log = execute_synch(s, algo)
         assert new.algo_state == 1
@@ -268,12 +263,12 @@ class TestExecute:
 def test_two_nodes_handshake_to_execution_in_three_stages():
     """The canonical dance: ack round, block round, then both execute."""
     algo = CounterAlgo()
-    a = NodeState.fresh(1, algo_state=algo.init(0))
-    b = NodeState.fresh(1, algo_state=algo.init(1))
+    a = NodeState(1, algo_state=algo.init(0))
+    b = NodeState(1, algo_state=algo.init(1))
 
     def read(other):
         return {0: view(phase=other.phase, synch=other.synch, remote_port=0,
-                        ack=other.ports[0].ack, valid=other.valid_ports,
+                        ack=int(0 in other.acked), valid=other.valid_ports,
                         drops=other.phase_drops, algo_state=other.algo_state)}
 
     # stage 0: both init against each other's stage-start image
@@ -281,7 +276,7 @@ def test_two_nodes_handshake_to_execution_in_three_stages():
     a, wa, _ = handshake(a, ra, frozenset())
     b, wb, _ = handshake(b, rb, frozenset())
     assert wa == wb == ()
-    assert a.ports[0].ack == 1 and b.ports[0].ack == 1
+    assert 0 in a.acked and 0 in b.acked
 
     # stage 1: both see the other's ack and block both sides
     ra, rb = read(b), read(a)
@@ -290,7 +285,7 @@ def test_two_nodes_handshake_to_execution_in_three_stages():
     assert wa == (0,) and wb == (0,)
     apply_remote_block(b, 0)
     apply_remote_block(a, 0)
-    assert a.ports[0].block == 1 and b.ports[0].block == 1
+    assert 0 in a.blocked and 0 in b.blocked
 
     # stage 2: both are enabled to execute and advance together
     assert enabled_action(a) is ActionKind.EXECUTE
@@ -303,10 +298,10 @@ def test_two_nodes_handshake_to_execution_in_three_stages():
 
 class TestSerialization:
     def test_golden_layout(self):
-        s = NodeState.fresh(1, algo_state=None)
+        s = NodeState(1, algo_state=None)
         s.synch = 1
         s.phase = 5
-        s.ports[0].ack = 1
+        s.acked = frozenset({0})
         s.valid_ports = frozenset({0})
         s.pulled = {0: view(phase=5)}
         phase_bytes, body = serialize_sync_state(s)
@@ -318,7 +313,7 @@ class TestSerialization:
         )
 
     def test_phase_counter_is_minimal_big_endian(self):
-        s = NodeState.fresh(1, algo_state=None)
+        s = NodeState(1, algo_state=None)
         for phase, want in ((0, b"\x00"), (255, b"\xff"), (256, b"\x01\x00")):
             s.phase = phase
             assert serialize_sync_state(s)[0] == want
@@ -334,7 +329,7 @@ class TestSerialization:
         at most 8 bits, for every reachable flag/set combination."""
         occupied = data.draw(st.sets(st.integers(0, delta - 1)))
         valid = data.draw(st.sets(st.sampled_from(sorted(occupied)))) if occupied else set()
-        s = NodeState.fresh(delta, algo_state=None)
+        s = NodeState(delta, algo_state=None)
         s.synch = data.draw(st.integers(0, 1))
         s.phase = phase
         s.invalid_ports = frozenset(occupied - valid)

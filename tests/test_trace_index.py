@@ -1,6 +1,7 @@
 """The per-node trace index: its lists and phase lookups agree with a plain
-filter of the event list, it follows ``add``, and the checkers read it
-instead of rescanning the trace once per node."""
+filter of the event list, building it refuses a malformed trace with a named
+error, and the checkers read it instead of rescanning the trace once per
+node."""
 import json
 import re
 
@@ -68,16 +69,6 @@ def test_index_backed_accessors_match_a_brute_force_filter(seed):
     assert index.phase_starts == [
         next(t for t, p in enumerate(min_phase) if p >= i) for i in range(min_phase[-1] + 1)
     ]
-
-
-def test_index_follows_add():
-    trace, _ = churn_trace(0)
-    before = list(trace.index.executes[0])
-    last_t = trace.events[-1]["t"]
-    event = {"kind": "action", "t": last_t, "node": 0, "action": "execute", "phase": len(before)}
-    trace.add(event)
-    assert trace.index.executes[0] == before + [event]
-    assert trace.index.phase_at(0, last_t + 1) == len(before) + 1
 
 
 def test_index_holds_the_events_themselves():
@@ -261,3 +252,13 @@ def test_stage_events_must_be_exactly_the_horizon(mutate, message):
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     data = "\n".join(map(json.dumps, [header, *mutate(rows, 40)])).encode()
     assert_every_check_raises(data, algo, message)
+
+
+@pytest.mark.parametrize("key, value", [("kind", "note"), ("action", "bogus"), ("branch", "bogus")])
+def test_unknown_labels_are_named(key, value):
+    trace, algo = churn_trace(5)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    at = next(i for i, ev in enumerate(rows) if ev.get("branch") == "continue")
+    rows[at][key] = value
+    data = "\n".join(map(json.dumps, [header, *rows])).encode()
+    assert_every_check_raises(data, algo, f"trace event {at}: unknown {key} '{value}'")

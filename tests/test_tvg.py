@@ -110,7 +110,7 @@ class TestPorts:
                 assert all(0 <= p < g.delta for p in occ)
                 assert set(occ.values()) == g.neighbors_at(t, u)
                 for p, v in occ.items():
-                    assert ports.node_behind(t, u, p) == v
+                    assert ports.occupied(t, v)[ports.port_of(t, v, u)] == u
                     assert ports.port_of(t, u, v) == p
 
     def test_persisting_edge_keeps_its_ports(self):
