@@ -200,8 +200,10 @@ class TraceIndex:
                     if t != len(index.stages):
                         due = len(index.stages)
                         raise ScenarioError(f"stage event {t} where stage {due} is due")
-                    # read by the checkers alone; a missing key is named here
-                    ev["edges"], ev["activated"]
+                    # read by the checkers alone, which check the entries;
+                    # a missing key or a value that is not a list is named here
+                    if type(ev["edges"]) is not list or type(ev["activated"]) is not list:
+                        raise ScenarioError(f"stage {t}: 'edges' and 'activated' must be lists")
                     index.stages.append(ev)
                 elif kind == "action":
                     u = ev["node"]
@@ -495,13 +497,17 @@ def fairness_audit(trace: RunTrace) -> FairnessReport:
     """Max activation gap per node, counted from a virtual activation at
     stage -1, compared against the bound the trace header's scheduler
     promises."""
-    bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(trace.n, trace.horizon)
+    n = trace.n
+    bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(n, trace.horizon)
     max_gap, worst = 0, 0
-    last = [-1] * trace.n
+    last = [-1] * n
     for ev in trace.index.stages:
+        t = ev["t"]
         for u in ev["activated"]:
-            gap = ev["t"] - last[u]
+            if type(u) is not int or not 0 <= u < n:
+                raise ScenarioError(f"stage {t}: activated node {u!r} is not in 0..{n - 1}")
+            gap = t - last[u]
             if gap > max_gap:
                 max_gap, worst = gap, u
-            last[u] = ev["t"]
+            last[u] = t
     return FairnessReport(max_gap=max_gap, bound=bound, worst_node=worst, ok=max_gap <= bound)

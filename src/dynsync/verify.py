@@ -62,6 +62,10 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
             committed[(u, i)] = {v: p for p, v in ev["committed_map"]}
     for (u, i), neighbors in sorted(committed.items()):
         for v in neighbors:
+            if type(v) is not int or not 0 <= v < n:
+                raise ScenarioError(
+                    f"node {u} phase {i}: committed neighbor {v!r} is not in 0..{n - 1}"
+                )
             if i < completed[v] and u not in committed[(v, i)]:
                 raise SymmetryViolation(
                     f"phase {i}: node {u} committed the edge to {v}, node {v} did not"
@@ -168,9 +172,18 @@ def check_pulled_consistency(
             resolved = {p: v for p, v in ev["committed_map"]}
             for p, snapshot in ev["pulled"]:
                 checked += 1
+                if p not in resolved:
+                    raise ScenarioError(
+                        f"node {u} phase {ev['phase']}: pulled port {p!r} is not in committed_map"
+                    )
                 partner = resolved[p]
                 want = boundary.get((partner, ev["phase"] - 1))
                 if want is None:
+                    if partner not in range(trace.n):
+                        raise ScenarioError(
+                            f"node {u} phase {ev['phase']} port {p}: partner {partner!r} "
+                            f"is not in 0..{trace.n - 1}"
+                        )
                     failures.append(
                         f"node {u} phase {ev['phase']} port {p}: partner {partner} "
                         f"has no recorded boundary for the prior phase"
@@ -232,68 +245,91 @@ def check_strong_nontriviality(
         extracted = extract_H(trace)
     n = trace.n
     index = trace.index
-    presence = [frozenset((u, v) for u, v in ev["edges"]) for ev in index.stages]
-    exec_stage = index.exec_stages
-    init_stage = [[ev["t"] for ev in inits] for inits in index.inits]
+    horizon = len(index.stages)
+    # One pass over the stages builds, for each stage t, since[t], which maps
+    # each present edge's key u*n+v to the first stage of its unbroken
+    # presence run through t, and above[t], which maps u to its neighbors
+    # v > u at t; and for each node, the stages it acts in. Every one of them
+    # holds one entry per edge or activation in the trace.
+    since: list[dict[int, int]] = []
+    above: list[dict[int, list[int]]] = []
     acts: list[list[int]] = [[] for _ in range(n)]
+    present: dict[int, int] = {}
     for ev in index.stages:
+        t = ev["t"]
+        run_start = present.get
+        present = {}
+        upper: dict[int, list[int]] = {}
+        for entry in ev["edges"]:
+            try:
+                u, v = entry
+            except (TypeError, ValueError):
+                u = v = None
+            if type(u) is not int or type(v) is not int or not 0 <= u < v < n:
+                raise ScenarioError(f"stage {t}: edge {entry!r} is not a node pair u < v < {n}")
+            key = u * n + v
+            present[key] = run_start(key, t)
+            if u in upper:
+                upper[u].append(v)
+            else:
+                upper[u] = [v]
+        since.append(present)
+        above.append(upper)
         for u in ev["activated"]:
-            acts[u].append(ev["t"])
-    adjacency: dict[int, list[list[int]]] = {}
+            if type(u) is not int or not 0 <= u < n:
+                raise ScenarioError(f"stage {t}: activated node {u!r} is not in 0..{n - 1}")
+            acts[u].append(t)
+    for stages in acts:
+        # past every window below, so that each lookup finds an entry
+        stages.append(horizon)
 
-    def neighbors(t: int) -> list[list[int]]:
-        if t not in adjacency:
-            adjacent: list[list[int]] = [[] for _ in range(n)]
-            for a, b in index.stages[t]["edges"]:
-                adjacent[a].append(b)
-                adjacent[b].append(a)
-            adjacency[t] = adjacent
-        return adjacency[t]
-
-    def first_act(a: int, start: int, stop: int) -> int | None:
-        k = bisect_left(acts[a], start)
-        return acts[a][k] if k < len(acts[a]) and acts[a][k] < stop else None
-
-    def must_commit(u: int, v: int, i: int) -> bool:
-        e = edge(u, v)
-        t_u, t_v = init_stage[u][i], init_stage[v][i]
-        e_u, e_v = exec_stage[u][i], exec_stage[v][i]
-        if e not in presence[t_u] or e not in presence[t_v]:
-            return False
-        if index.phase_at(v, t_u) > i or index.phase_at(u, t_v) > i:
-            return False
-        lo = min(t_u, t_v)
-
-        def first_contact(a: int, other: int, start: int, stop: int) -> int | None:
-            # other is in phase i from the stage after its phase i-1 execute
-            # through the stage of its phase i execute
-            if i > 0:
-                start = max(start, exec_stage[other][i - 1] + 1)
-            return first_act(a, start, min(stop, exec_stage[other][i] + 1))
-
-        ca_u = first_contact(u, v, t_u, e_u)
-        ca_v = first_contact(v, u, t_v, e_v)
-        if ca_u is None or ca_v is None:
-            return False
-        if ca_u != ca_v:
-            completion = max(ca_u, ca_v)
-        else:
-            stop = max(e_u, e_v)
-            later = [s for s in (first_act(u, ca_u + 1, stop), first_act(v, ca_u + 1, stop))
-                     if s is not None]
-            if not later:
-                return False
-            completion = min(later)
-        return all(e in presence[s] for s in range(lo, completion + 1))
-
+    init_stage = [[ev["t"] for ev in inits] for inits in index.inits]
     missing, extra = [], []
     for i in range(extracted.compared_phases):
+        starts = [stages[i] for stages in init_stage]
+        ends = [stages[i] for stages in index.exec_stages]
+        # a node is in phase i from the stage after its phase i-1 execute
+        # through the stage of its phase i execute
+        entered = [stages[i - 1] + 1 for stages in index.exec_stages] if i else [0] * n
         want = set()
+        # Each test below is a comparison or a lookup: conditional
+        # expressions stand in for min and max, whose calls cost more than
+        # the rest of the test.
         for u in range(n):
-            for v in neighbors(init_stage[u][i])[u]:
-                if u < v and must_commit(u, v, i):
+            t_u, e_u, acts_u = starts[u], ends[u], acts[u]
+            for v in above[t_u].get(u, ()):
+                t_v, e_v = starts[v], ends[v]
+                # neither endpoint is past the phase when the other starts
+                # it, and the edge is present at both phase starts
+                if e_v < t_u or e_u < t_v:
+                    continue
+                key = u * n + v
+                if key not in since[t_v]:
+                    continue
+                # each side's first act while it sees the other in phase i:
+                # before its own execute, and by the other's
+                start = entered[v] if entered[v] > t_u else t_u
+                ca_u = acts_u[bisect_left(acts_u, start)]
+                if ca_u >= e_u or ca_u > e_v:
+                    continue
+                acts_v = acts[v]
+                start = entered[u] if entered[u] > t_v else t_v
+                ca_v = acts_v[bisect_left(acts_v, start)]
+                if ca_v >= e_v or ca_v > e_u:
+                    continue
+                if ca_u != ca_v:
+                    completion = ca_u if ca_u > ca_v else ca_v
+                else:
+                    # the next stage either side acts, before both execute
+                    next_u = acts_u[bisect_left(acts_u, ca_u + 1)]
+                    next_v = acts_v[bisect_left(acts_v, ca_u + 1)]
+                    completion = next_u if next_u < next_v else next_v
+                    if completion >= e_u and completion >= e_v:
+                        continue
+                # present without a gap from the earlier phase start on
+                if since[completion].get(key, horizon) <= (t_u if t_u < t_v else t_v):
                     want.add((u, v))
-        got = set(extracted.steps[i])
+        got = extracted.steps[i]
         missing += [(u, v, i) for u, v in sorted(want - got)]
         extra += [(u, v, i) for u, v in sorted(got - want)]
     return StrongReport(

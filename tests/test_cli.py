@@ -177,13 +177,25 @@ class TestRunCommand:
         )
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
 
-    def test_scripted_activation_out_of_range_exits_config_invalid(self, tmp_path):
+    def test_scripted_activation_out_of_range_exits_config_invalid(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
             name="ghost",
             scheduler={"kind": "scripted", "stages": [[7]] * 9},
         )
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+        assert "stage 0: scripted activation out of range: [7]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chosen", [[0, "1"], [True], 1])
+    def test_scripted_activation_that_is_not_an_integer_list_exits_config_invalid(
+        self, tmp_path, capsys, chosen
+    ):
+        path = write_config(
+            tmp_path, name="typo", scheduler={"kind": "scripted", "stages": [chosen] * 9}
+        )
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+        message = f"stage 0: scripted activation must be a list of integers: {chosen!r}"
+        assert message in capsys.readouterr().err
 
     def test_invalid_json_exits_config_invalid(self, tmp_path):
         path = tmp_path / "broken.json"

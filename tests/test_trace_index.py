@@ -27,6 +27,12 @@ def churn_trace(seed, n=6, delta=2, horizon=80):
     return run(g, sched, algo), algo
 
 
+def assert_each_raises(checks, data, message):
+    for check in checks:
+        with pytest.raises(ScenarioError, match=message):
+            check(RunTrace.from_jsonl(data))
+
+
 def assert_every_check_raises(data, algo, message):
     """extract_H and the six checkers each refuse the trace ``data``."""
     checks = [
@@ -38,9 +44,7 @@ def assert_every_check_raises(data, algo, message):
         lambda tr: check_liveness(tr, 1),
         fairness_audit,
     ]
-    for check in checks:
-        with pytest.raises(ScenarioError, match=message):
-            check(RunTrace.from_jsonl(data))
+    assert_each_raises(checks, data, message)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -262,3 +266,89 @@ def test_unknown_labels_are_named(key, value):
     rows[at][key] = value
     data = "\n".join(map(json.dumps, [header, *rows])).encode()
     assert_every_check_raises(data, algo, f"trace event {at}: unknown {key} '{value}'")
+
+
+def stage_with_edges_and_activations(rows):
+    return next(
+        i for i, ev in enumerate(rows) if ev["kind"] == "stage" and ev["edges"] and ev["activated"]
+    )
+
+
+def encode(header, rows):
+    return "\n".join(map(json.dumps, [header, *rows])).encode()
+
+
+@pytest.mark.parametrize(
+    "key, entry, message",
+    [
+        ("edges", [0, 6], r"edge \[0, 6\] is not a node pair u < v < 6"),
+        ("edges", [2, 1], r"edge \[2, 1\] is not a node pair"),
+        ("edges", [0, 1, 2], r"edge \[0, 1, 2\] is not a node pair"),
+        ("edges", [3], r"edge \[3\] is not a node pair"),
+        ("edges", 4, "edge 4 is not a node pair"),
+        ("edges", ["0", "1"], r"edge \['0', '1'\] is not a node pair"),
+        ("activated", 6, r"activated node 6 is not in 0\.\.5"),
+        ("activated", -1, r"activated node -1 is not in 0\.\.5"),
+        ("activated", "1", r"activated node '1' is not in 0\.\.5"),
+        ("activated", True, r"activated node True is not in 0\.\.5"),
+    ],
+)
+def test_corrupt_stage_contents_are_named_where_read(key, entry, message):
+    trace, _ = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    at = stage_with_edges_and_activations(rows)
+    assert trace.n == 6
+    rows[at][key][0] = entry
+    # the strong oracle reads both lists; the fairness audit reads activations
+    checks = [check_strong_nontriviality] + ([fairness_audit] if key == "activated" else [])
+    assert_each_raises(checks, encode(header, rows), f"stage {rows[at]['t']}: {message}")
+
+
+@pytest.mark.parametrize("key", ["edges", "activated"])
+def test_stage_lists_that_are_not_lists_are_named(key):
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    at = stage_with_edges_and_activations(rows)
+    rows[at][key] = 7
+    message = f"stage {rows[at]['t']}: 'edges' and 'activated' must be lists"
+    assert_every_check_raises(encode(header, rows), algo, message)
+
+
+def first_commit(rows):
+    # to a higher node, so that extraction reads this side of the edge first
+    return next(
+        i
+        for i, ev in enumerate(rows)
+        if ev.get("action") == "execute"
+        and ev["committed_map"]
+        and ev["committed_map"][0][1] > ev["node"]
+    )
+
+
+@pytest.mark.parametrize("bad", [13, -1])
+def test_committed_neighbor_outside_the_nodes_is_named(bad):
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    at = first_commit(rows)
+    ev = rows[at]
+    ev["committed_map"][0][1] = bad
+    # history extraction reads the neighbors, and so do the checkers that
+    # extract the history themselves; pulled consistency resolves the port
+    checks = [
+        extract_H,
+        lambda tr: check_correctness(tr, algo),
+        check_strong_nontriviality,
+        lambda tr: check_pulled_consistency(tr, algo),
+    ]
+    message = rf"node {ev['node']} phase {ev['phase']}.*{bad} is not in 0\.\.5"
+    assert_each_raises(checks, encode(header, rows), message)
+
+
+def test_pulled_port_outside_the_commit_is_named():
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    ev = rows[first_commit(rows)]
+    ev["pulled"][0][0] = 99
+    message = f"node {ev['node']} phase {ev['phase']}: pulled port 99 is not in committed_map"
+    check = lambda tr: check_pulled_consistency(tr, algo)
+    assert_each_raises([check], encode(header, rows), message)
