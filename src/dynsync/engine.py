@@ -162,19 +162,23 @@ _scan = json.JSONDecoder().scan_once
 
 @dataclass
 class TraceIndex:
-    """Per-node view of a trace's events, built in one pass over them. The
-    stage events must be exactly 0..horizon-1, one per stage, in order, and
-    each action must follow its own stage's event.
+    """Per-node view of a trace's events, built in one pass over them. It
+    checks, once, each field that several checkers read; a field that one
+    checker reads is checked where it is read. The stage events must be
+    0..horizon-1 in order, each ``activated`` list strictly increasing nodes
+    in 0..n-1, and each stage's actions exactly its activated nodes, in order.
+    Node u's k-th execute must be in phase k, after its k-th init handshake,
+    in phase k too, and each neighbor in its ``committed_map`` a node.
 
     The lists hold the event dicts themselves, so an in-place edit of an
-    event shows through the index. ``exec_stages[u]`` lists the stages of
-    node u's execute events in order, for bisecting phase boundaries.
-    ``phase_starts[i]`` is the first stage at whose start every node has
-    completed i phases, for i up to the minimum completed count.
+    event shows through the index, but an edit after the build is not
+    checked. ``acts[u]`` and ``exec_stages[u]`` list the stages node u acts
+    and executes in. ``phase_starts[i]`` is the first stage at whose start
+    every node has completed i phases, for i up to the minimum completed count.
     """
 
     stages: list[dict]
-    actions: list[list[dict]]
+    acts: list[list[int]]
     executes: list[list[dict]]
     inits: list[list[dict]]
     exec_stages: list[list[int]]
@@ -184,6 +188,7 @@ class TraceIndex:
     def build(cls, n: int, horizon: int, events: list[dict]) -> "TraceIndex":
         index = cls([], *([[] for _ in range(n)] for _ in range(4)), [0])
         last_t = 0
+        pending: Iterator[int] = iter(())  # the current stage's nodes yet to act
         try:
             for i, ev in enumerate(events):
                 t = ev["t"]
@@ -200,43 +205,67 @@ class TraceIndex:
                     if t != len(index.stages):
                         due = len(index.stages)
                         raise ScenarioError(f"stage event {t} where stage {due} is due")
-                    # read by the checkers alone, which check the entries;
-                    # a missing key or a value that is not a list is named here
+                    for u in pending:
+                        raise ScenarioError(f"stage {t - 1}: activated node {u} did not act")
+                    # the strong oracle alone reads the edges, and checks them
                     if type(ev["edges"]) is not list or type(ev["activated"]) is not list:
                         raise ScenarioError(f"stage {t}: 'edges' and 'activated' must be lists")
+                    low = 0  # each activated node is above the one before
+                    for u in ev["activated"]:
+                        if type(u) is not int or not low <= u < n:
+                            raise ScenarioError(
+                                f"stage {t}: activated node {u!r} is not in {low}..{n - 1}"
+                            )
+                        index.acts[u].append(t)
+                        low = u + 1
+                    pending = iter(ev["activated"])
                     index.stages.append(ev)
-                elif kind == "action":
-                    u = ev["node"]
-                    if type(u) is not int:
-                        raise ScenarioError(
-                            f"trace event {i}: 'node' must be an integer, got {u!r}"
-                        )
-                    if not 0 <= u < n:
-                        raise ScenarioError(f"stage {t}: action of node {u}, trace has n={n}")
-                    if t >= len(index.stages):
-                        raise ScenarioError(
-                            f"stage {t}: action of node {u} before the stage event"
-                        )
-                    index.actions[u].append(ev)
-                    action = ev["action"]
-                    if action == "execute":
-                        index.executes[u].append(ev)
-                        index.exec_stages[u].append(t)
-                    elif action == "handshake":
-                        branch = ev["branch"]
-                        if branch == "init":
-                            index.inits[u].append(ev)
-                        elif branch != "continue":
-                            raise ScenarioError(f"trace event {i}: unknown branch {branch!r}")
-                    else:
-                        raise ScenarioError(f"trace event {i}: unknown action {action!r}")
-                else:
+                    continue
+                if kind != "action":
                     raise ScenarioError(f"trace event {i}: unknown kind {kind!r}")
+                u = ev["node"]
+                if type(u) is not int:
+                    raise ScenarioError(f"trace event {i}: 'node' must be an integer, got {u!r}")
+                if t >= len(index.stages):
+                    raise ScenarioError(f"stage {t}: action of node {u} before the stage event")
+                # the activated nodes are in 0..n-1, and so, then, is u
+                if next(pending, None) != u:
+                    raise ScenarioError(f"stage {t}: node {u} acts out of activation order")
+                action = ev["action"]
+                if action == "execute":
+                    k = len(index.executes[u])
+                    if ev["phase"] != k:
+                        raise ScenarioError(f"node {u}: phase counter skew at event {k}")
+                    # the strong oracle reads phase k's init handshake by position
+                    if k >= len(index.inits[u]) or index.inits[u][k]["phase"] != k:
+                        raise ScenarioError(f"node {u}: no init handshake for completed phase {k}")
+                    for entry in ev["committed_map"]:
+                        if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not int:
+                            raise ScenarioError(
+                                f"node {u} phase {k}: committed_map entry {entry!r} is not a pair"
+                            )
+                        if type(entry[1]) is not int or not 0 <= entry[1] < n:
+                            raise ScenarioError(
+                                f"node {u} phase {k}: committed neighbor {entry[1]!r} "
+                                f"is not in 0..{n - 1}"
+                            )
+                    index.executes[u].append(ev)
+                    index.exec_stages[u].append(t)
+                elif action == "handshake":
+                    branch = ev["branch"]
+                    if branch == "init":
+                        index.inits[u].append(ev)
+                    elif branch != "continue":
+                        raise ScenarioError(f"trace event {i}: unknown branch {branch!r}")
+                else:
+                    raise ScenarioError(f"trace event {i}: unknown action {action!r}")
         except KeyError as exc:
             # event i was being read when the key was missing
             raise ScenarioError(f"trace event {i} has no {exc.args[0]!r} key") from None
         if len(index.stages) != horizon:
             raise ScenarioError(f"trace has {len(index.stages)} of {horizon} stage events")
+        for u in pending:
+            raise ScenarioError(f"stage {horizon - 1}: activated node {u} did not act")
         completed = min(map(len, index.exec_stages), default=0)
         index.phase_starts += [
             max(stages[i] for stages in index.exec_stages) + 1 for i in range(completed)
@@ -335,9 +364,10 @@ class RunTrace:
         return list(self.index.stages)
 
     def actions(self, node: int | None = None, action: str | None = None) -> Iterator[dict]:
-        events = self.events if node is None else self.index.actions[node]
-        for ev in events:
+        for ev in self.events:
             if ev["kind"] != "action":
+                continue
+            if node is not None and ev["node"] != node:
                 continue
             if action is not None and ev["action"] != action:
                 continue
@@ -497,17 +527,11 @@ def fairness_audit(trace: RunTrace) -> FairnessReport:
     """Max activation gap per node, counted from a virtual activation at
     stage -1, compared against the bound the trace header's scheduler
     promises."""
-    n = trace.n
-    bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(n, trace.horizon)
-    max_gap, worst = 0, 0
-    last = [-1] * n
-    for ev in trace.index.stages:
-        t = ev["t"]
-        for u in ev["activated"]:
-            if type(u) is not int or not 0 <= u < n:
-                raise ScenarioError(f"stage {t}: activated node {u!r} is not in 0..{n - 1}")
-            gap = t - last[u]
-            if gap > max_gap:
-                max_gap, worst = gap, u
-            last[u] = t
+    bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(trace.n, trace.horizon)
+    max_gap, worst, worst_t = 0, 0, -1
+    for u, stages in enumerate(trace.index.acts):
+        for last, t in zip([-1] + stages, stages):
+            # the worst node is the first a stage-by-stage walk finds
+            if t - last > max_gap or (t - last == max_gap and t < worst_t):
+                max_gap, worst, worst_t = t - last, u, t
     return FairnessReport(max_gap=max_gap, bound=bound, worst_node=worst, ok=max_gap <= bound)

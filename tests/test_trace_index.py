@@ -56,6 +56,7 @@ def test_index_backed_accessors_match_a_brute_force_filter(seed):
         mine = [ev for ev in actions if ev["node"] == u]
         executes = [ev for ev in mine if ev["action"] == "execute"]
         assert list(trace.actions(node=u)) == mine
+        assert index.acts[u] == [ev["t"] for ev in mine]
         assert index.executes[u] == executes
         assert index.inits[u] == [
             ev for ev in mine if ev["action"] == "handshake" and ev["branch"] == "init"
@@ -169,20 +170,115 @@ def test_non_integer_stage_or_node_is_named(kind, key, value):
     assert_every_check_raises(data, algo, message)
 
 
+def is_init_of_node_2(ev):
+    return ev.get("node") == 2 and ev.get("branch") == "init"
+
+
 def test_trace_missing_init_handshakes_is_a_named_error():
-    trace, _ = churn_trace(4, n=5)
+    trace, algo = churn_trace(4, n=5)
     assert trace.index.executes[2]
-    lines = trace.to_jsonl().decode().splitlines()
-    events = map(json.loads, lines)
-    kept = [
-        line
-        for line, ev in zip(lines, events)
-        if not (ev.get("node") == 2 and ev.get("branch") == "init")
-    ]
-    assert len(kept) < len(lines)
-    stripped = RunTrace.from_jsonl("\n".join(kept).encode())
-    with pytest.raises(ScenarioError, match="node 2: no init handshake for completed phase 0"):
-        extract_H(stripped)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    # node 2 is not activated where its init lines go, so the schedule holds
+    dropped = {ev["t"] for ev in rows if is_init_of_node_2(ev)}
+    kept = [ev for ev in rows if not is_init_of_node_2(ev)]
+    assert dropped and len(kept) < len(rows)
+    for ev in kept:
+        if ev["kind"] == "stage" and ev["t"] in dropped:
+            ev["activated"].remove(2)
+    message = "node 2: no init handshake for completed phase 0"
+    assert_every_check_raises(encode(header, kept), algo, message)
+
+
+def test_phase_counter_skew_is_named_by_every_check():
+    trace, algo = churn_trace(4, n=5)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    second = [ev for ev in rows if ev.get("node") == 3 and ev.get("action") == "execute"][1]
+    second["phase"] = 2
+    assert_every_check_raises(encode(header, rows), algo, "node 3: phase counter skew at event 1")
+
+
+def stage_activations(rows):
+    return {ev["t"]: ev["activated"] for ev in rows if ev["kind"] == "stage"}
+
+
+def continue_line(rows, last):
+    """The first continue handshake by the last node its stage activates, or
+    by one that is not the last."""
+    activated = stage_activations(rows)
+    return next(
+        i
+        for i, ev in enumerate(rows)
+        if ev.get("branch") == "continue" and (ev["node"] == activated[ev["t"]][-1]) == last
+    )
+
+
+def duplicate_continue(rows):
+    at = continue_line(rows, last=True)
+    ev = rows[at]
+    mutant = rows[: at + 1] + [dict(ev)] + rows[at + 1 :]
+    return mutant, f"stage {ev['t']}: node {ev['node']} acts out of activation order"
+
+
+def delete_last_continue(rows):
+    at = continue_line(rows, last=True)
+    ev = rows[at]
+    return rows[:at] + rows[at + 1 :], f"stage {ev['t']}: activated node {ev['node']} did not act"
+
+
+def delete_inner_continue(rows):
+    at = continue_line(rows, last=False)
+    ev, after = rows[at], rows[at + 1]
+    mutant = rows[:at] + rows[at + 1 :]
+    return mutant, f"stage {ev['t']}: node {after['node']} acts out of activation order"
+
+
+def delete_final_action(rows):
+    # the row before the footer, the last action of the last stage
+    ev = rows[-2]
+    assert ev["kind"] == "action"
+    return rows[:-2] + rows[-1:], f"stage {ev['t']}: activated node {ev['node']} did not act"
+
+
+def swap_actions(rows):
+    at = next(
+        i
+        for i, ev in enumerate(rows)
+        if ev["kind"] == "action" and rows[i + 1]["kind"] == "action"
+        and rows[i + 1]["t"] == ev["t"]
+    )
+    second = rows[at + 1]
+    mutant = rows[:at] + [second, rows[at]] + rows[at + 2 :]
+    return mutant, f"stage {second['t']}: node {second['node']} acts out of activation order"
+
+
+def drop_inits_of_node_2(rows):
+    # the init lines alone, with node 2 still activated in their stages
+    t = next(ev["t"] for ev in rows if is_init_of_node_2(ev))
+    activated = stage_activations(rows)[t]
+    after = activated[activated.index(2) + 1 :]
+    if after:
+        message = f"stage {t}: node {after[0]} acts out of activation order"
+    else:
+        message = f"stage {t}: activated node 2 did not act"
+    return [ev for ev in rows if not is_init_of_node_2(ev)], message
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        duplicate_continue,
+        delete_last_continue,
+        delete_inner_continue,
+        delete_final_action,
+        swap_actions,
+        drop_inits_of_node_2,
+    ],
+)
+def test_actions_must_match_the_schedule(mutate):
+    trace, algo = churn_trace(4, n=5)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    mutant, message = mutate(rows)
+    assert_every_check_raises(encode(header, mutant), algo, message)
 
 
 def check_everything(trace, algo):
@@ -294,14 +390,29 @@ def encode(header, rows):
     ],
 )
 def test_corrupt_stage_contents_are_named_where_read(key, entry, message):
-    trace, _ = churn_trace(2)
+    trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     at = stage_with_edges_and_activations(rows)
     assert trace.n == 6
     rows[at][key][0] = entry
-    # the strong oracle reads both lists; the fairness audit reads activations
-    checks = [check_strong_nontriviality] + ([fairness_audit] if key == "activated" else [])
-    assert_each_raises(checks, encode(header, rows), f"stage {rows[at]['t']}: {message}")
+    message = f"stage {rows[at]['t']}: {message}"
+    # the strong oracle alone reads the edges; the index checks the activations
+    if key == "edges":
+        assert_each_raises([check_strong_nontriviality], encode(header, rows), message)
+    else:
+        assert_every_check_raises(encode(header, rows), algo, message)
+
+
+@pytest.mark.parametrize("twice", [False, True])
+def test_activated_nodes_must_strictly_increase(twice):
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    ev = next(ev for ev in rows if ev["kind"] == "stage" and len(ev["activated"]) > 1)
+    first, second = ev["activated"][:2]
+    ev["activated"][:2] = [first, first] if twice else [second, first]
+    bad, low = (first, first + 1) if twice else (first, second + 1)
+    message = rf"stage {ev['t']}: activated node {bad} is not in {low}\.\.5"
+    assert_every_check_raises(encode(header, rows), algo, message)
 
 
 @pytest.mark.parametrize("key", ["edges", "activated"])
@@ -325,30 +436,57 @@ def first_commit(rows):
     )
 
 
-@pytest.mark.parametrize("bad", [13, -1])
+@pytest.mark.parametrize("bad", [13, -1, [0]])
 def test_committed_neighbor_outside_the_nodes_is_named(bad):
     trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     at = first_commit(rows)
     ev = rows[at]
     ev["committed_map"][0][1] = bad
-    # history extraction reads the neighbors, and so do the checkers that
-    # extract the history themselves; pulled consistency resolves the port
-    checks = [
-        extract_H,
-        lambda tr: check_correctness(tr, algo),
-        check_strong_nontriviality,
-        lambda tr: check_pulled_consistency(tr, algo),
-    ]
-    message = rf"node {ev['node']} phase {ev['phase']}.*{bad} is not in 0\.\.5"
-    assert_each_raises(checks, encode(header, rows), message)
+    # extraction and pulled consistency read the neighbors: the index checks them
+    message = rf"node {ev['node']} phase {ev['phase']}.*{re.escape(repr(bad))} is not in 0\.\.5"
+    assert_every_check_raises(encode(header, rows), algo, message)
+
+
+@pytest.mark.parametrize("entry", [[1], 5, [0, 1, 2], [[0], 1], None])
+def test_committed_map_entry_that_is_not_a_pair_is_named(entry):
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    ev = rows[first_commit(rows)]
+    ev["committed_map"][0] = entry
+    message = f"node {ev['node']} phase {ev['phase']}: committed_map entry {entry!r} is not a pair"
+    assert_every_check_raises(encode(header, rows), algo, re.escape(message))
 
 
 def test_pulled_port_outside_the_commit_is_named():
     trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
-    ev = rows[first_commit(rows)]
-    ev["pulled"][0][0] = 99
-    message = f"node {ev['node']} phase {ev['phase']}: pulled port 99 is not in committed_map"
+    at = first_commit(rows)
     check = lambda tr: check_pulled_consistency(tr, algo)
-    assert_each_raises([check], encode(header, rows), message)
+    for entry, message in [
+        ([99, None], "pulled port 99 is not in committed_map"),
+        ([[0], None], "pulled port [0] is not in committed_map"),
+        ([True, None], "pulled port True is not in committed_map"),
+        ([1], "pulled entry [1] is not a pair"),
+        (7, "pulled entry 7 is not a pair"),
+        (["ab", "cd", "ef"], "pulled entry ['ab', 'cd', 'ef'] is not a pair"),
+    ]:
+        ev = json.loads(json.dumps(rows[at]))
+        if type(entry) is list and len(entry) == 2:
+            entry[1] = ev["pulled"][0][1]
+        ev["pulled"][0] = entry
+        message = f"node {ev['node']} phase {ev['phase']}: {message}"
+        mutant = rows[:at] + [ev] + rows[at + 1 :]
+        assert_each_raises([check], encode(header, mutant), re.escape(message))
+
+
+@pytest.mark.parametrize("key", ["committed", "valid", "phase_drops"])
+@pytest.mark.parametrize("value", [5, None, ["0"], [[0]], [True]])
+def test_sandwich_fields_that_are_not_int_lists_are_named(key, value):
+    trace, _ = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    ev = rows[first_commit(rows)]
+    ev[key] = value
+    # check_sandwich alone reads them
+    message = f"node {ev['node']} phase {ev['phase']}: {key} is not an int list"
+    assert_each_raises([check_sandwich], encode(header, rows), message)
