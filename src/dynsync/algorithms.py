@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .tvg import Edge, ScenarioError
 
@@ -103,13 +102,12 @@ def make_algorithm(name: str) -> SyncAlgorithm:
     raise ScenarioError(f"unknown algorithm {name!r}")
 
 
-@dataclass
-class SyncExecution:
+class SyncExecution(NamedTuple):
     """A fully synchronous run: per-node states before any step and after each
     step i, where step i uses the i-th graph in the sequence."""
 
     initial: list[Any]
-    after_step: list[list[Any]] = field(default_factory=list)
+    after_step: list[list[Any]]
 
     def state(self, node: int, step: int) -> Any:
         """State after the given step; step -1 means the initial state."""
@@ -125,7 +123,7 @@ def reference_run(
     """Run the algorithm synchronously: state after step i is produced from
     the states after step i-1 and the step-i graph's neighborhoods."""
     current = [algo.init(u, None if inputs is None else inputs[u]) for u in range(n)]
-    execution = SyncExecution(list(current))
+    execution = SyncExecution(list(current), [])
     for graph in graphs:
         adjacency: list[list[Any]] = [[] for _ in range(n)]
         for u, v in frozenset(graph):

@@ -16,11 +16,10 @@ import gc
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .algorithms import make_algorithm
 from .engine import (
@@ -71,8 +70,7 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Validated declarative scenario: sizes, dynamics, scheduler, algorithm,
     and which checks gate the exit status."""
 
@@ -84,12 +82,12 @@ class ScenarioConfig:
     dynamics: dict
     scheduler: dict
     algorithm: dict
-    checks: dict = field(default_factory=dict)
+    checks: dict
 
     @classmethod
     def from_dict(cls, raw: dict, fallback_name: str = "scenario") -> "ScenarioConfig":
         _require(isinstance(raw, dict), "config root must be an object")
-        unknown = set(raw) - {f.name for f in fields(cls)}
+        unknown = set(raw) - set(cls._fields)
         _require(not unknown, f"unknown config keys: {sorted(unknown)}")
         for key in ("n", "delta", "horizon", "dynamics", "scheduler", "algorithm"):
             _require(key in raw, f"config is missing {key!r}")
@@ -216,15 +214,13 @@ class ScenarioConfig:
         return algo, inputs
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass
-class ScenarioOutcome:
+class ScenarioOutcome(NamedTuple):
     config: ScenarioConfig
     trace: RunTrace
     extracted: ExtractedSynch | None
@@ -468,7 +464,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / f"{name}.scenario.json"
-    config_path.write_text(_dumps(asdict(config)) + "\n", encoding="utf-8")
+    config_path.write_text(_dumps(config._asdict()) + "\n", encoding="utf-8")
 
     outcome = execute_scenario(config)
     want = [normalize_edges(s) for s in steps]

@@ -17,8 +17,7 @@ import functools
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .algorithms import SyncAlgorithm
 from .synchronizer import (
@@ -42,7 +41,6 @@ class InternalInvariantError(RuntimeError):
     """A protocol-level invariant the engine enforces failed mid-run."""
 
 
-@dataclass(frozen=True)
 class SchedulerPolicy:
     """Which nodes act each stage.
 
@@ -51,13 +49,19 @@ class SchedulerPolicy:
     node idle for fairness_bound stages), "scripted" (explicit sets).
     """
 
-    kind: str
-    seed: int = 0
-    p_activate: float = 0.5
-    fairness_bound: int = 1
-    script: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kind: str,
+        seed: int = 0,
+        p_activate: float = 0.5,
+        fairness_bound: int = 1,
+        script: tuple[tuple[int, ...], ...] = (),
+    ) -> None:
+        self.kind = kind
+        self.seed = seed
+        self.p_activate = p_activate
+        self.fairness_bound = fairness_bound
+        self.script = script
         if self.kind not in ("all-active", "sequential", "random-subset", "scripted"):
             raise ScenarioError(f"unknown scheduler kind {self.kind!r}")
         if type(self.seed) is not int:
@@ -83,7 +87,14 @@ class SchedulerPolicy:
     def from_header(cls, header: dict) -> "SchedulerPolicy":
         """The policy a trace header records (a scripted policy without its
         script, which the header does not carry)."""
+        if "scheduler" not in header:
+            raise ScenarioError("trace header has no 'scheduler' key")
         sched = header["scheduler"]
+        if type(sched) is not dict:
+            raise ScenarioError(f"trace header: scheduler must be an object, got {sched!r}")
+        for key in ("kind", "seed", "p_activate", "fairness_bound"):
+            if key not in sched:
+                raise ScenarioError(f"trace header: scheduler has no {key!r} key")
         return cls(
             kind=sched["kind"],
             seed=sched["seed"],
@@ -160,7 +171,6 @@ def _dumps(obj: Any) -> str:
 _scan = json.JSONDecoder().scan_once
 
 
-@dataclass
 class TraceIndex:
     """Per-node view of a trace's events, built in one pass over them. It
     checks, once, each field that several checkers read; a field that one
@@ -168,7 +178,8 @@ class TraceIndex:
     0..horizon-1 in order, each ``activated`` list strictly increasing nodes
     in 0..n-1, and each stage's actions exactly its activated nodes, in order.
     Node u's k-th execute must be in phase k, after its k-th init handshake,
-    in phase k too, and each neighbor in its ``committed_map`` a node.
+    in phase k too, its ``state`` a string and each neighbor in its
+    ``committed_map`` a node.
 
     The lists hold the event dicts themselves, so an in-place edit of an
     event shows through the index, but an edit after the build is not
@@ -177,16 +188,17 @@ class TraceIndex:
     every node has completed i phases, for i up to the minimum completed count.
     """
 
-    stages: list[dict]
-    acts: list[list[int]]
-    executes: list[list[dict]]
-    inits: list[list[dict]]
-    exec_stages: list[list[int]]
-    phase_starts: list[int]
+    def __init__(self, n: int) -> None:
+        self.stages: list[dict] = []
+        self.acts: list[list[int]] = [[] for _ in range(n)]
+        self.executes: list[list[dict]] = [[] for _ in range(n)]
+        self.inits: list[list[dict]] = [[] for _ in range(n)]
+        self.exec_stages: list[list[int]] = [[] for _ in range(n)]
+        self.phase_starts: list[int] = [0]
 
     @classmethod
     def build(cls, n: int, horizon: int, events: list[dict]) -> "TraceIndex":
-        index = cls([], *([[] for _ in range(n)] for _ in range(4)), [0])
+        index = cls(n)
         last_t = 0
         pending: Iterator[int] = iter(())  # the current stage's nodes yet to act
         try:
@@ -239,6 +251,8 @@ class TraceIndex:
                     # the strong oracle reads phase k's init handshake by position
                     if k >= len(index.inits[u]) or index.inits[u][k]["phase"] != k:
                         raise ScenarioError(f"node {u}: no init handshake for completed phase {k}")
+                    if type(ev["state"]) is not str:
+                        raise ScenarioError(f"node {u} phase {k}: state is not a string")
                     for entry in ev["committed_map"]:
                         if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not int:
                             raise ScenarioError(
@@ -277,15 +291,15 @@ class TraceIndex:
         return bisect_left(self.exec_stages[u], t)
 
 
-@dataclass
 class RunTrace:
     """Replayable structured record of one run: a header followed by one
     event per stage / per activated node action, in execution order, and a
     footer (empty when the trace has none)."""
 
-    header: dict
-    events: list[dict]
-    footer: dict
+    def __init__(self, header: dict, events: list[dict], footer: dict) -> None:
+        self.header = header
+        self.events = events
+        self.footer = footer
 
     # -- serialization ----------------------------------------------------
 
@@ -515,8 +529,7 @@ def run(
     return RunTrace(header, events, footer)
 
 
-@dataclass
-class FairnessReport:
+class FairnessReport(NamedTuple):
     max_gap: int
     bound: int
     worst_node: int

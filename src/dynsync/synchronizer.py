@@ -15,7 +15,6 @@ the start of that stage; its own writes land at the end of the stage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, NamedTuple
 
@@ -54,7 +53,6 @@ class PulledView(NamedTuple):
         )
 
 
-@dataclass(slots=True)
 class NodeState:
     """Synchronizer variables of one anonymous node.
 
@@ -65,17 +63,36 @@ class NodeState:
     set the last completed phase actually used.
     """
 
-    delta: int
-    synch: int = 0
-    phase: int = 0
-    acked: frozenset[int] = frozenset()
-    blocked: frozenset[int] = frozenset()
-    invalid_ports: frozenset[int] = frozenset()
-    valid_ports: frozenset[int] = frozenset()
-    phase_drops: frozenset[int] = frozenset()
-    committed_ports: frozenset[int] = frozenset()
-    pulled: dict[int, PulledView] = field(default_factory=dict)
-    algo_state: Any = None
+    __slots__ = (
+        "delta", "synch", "phase", "acked", "blocked", "invalid_ports", "valid_ports",
+        "phase_drops", "committed_ports", "pulled", "algo_state",
+    )
+
+    def __init__(
+        self,
+        delta: int,
+        synch: int = 0,
+        phase: int = 0,
+        acked: frozenset[int] = frozenset(),
+        blocked: frozenset[int] = frozenset(),
+        invalid_ports: frozenset[int] = frozenset(),
+        valid_ports: frozenset[int] = frozenset(),
+        phase_drops: frozenset[int] = frozenset(),
+        committed_ports: frozenset[int] = frozenset(),
+        pulled: dict[int, PulledView] | None = None,
+        algo_state: Any = None,
+    ) -> None:
+        self.delta = delta
+        self.synch = synch
+        self.phase = phase
+        self.acked = acked
+        self.blocked = blocked
+        self.invalid_ports = invalid_ports
+        self.valid_ports = valid_ports
+        self.phase_drops = phase_drops
+        self.committed_ports = committed_ports
+        self.pulled = {} if pulled is None else pulled
+        self.algo_state = algo_state
 
     def clone(self) -> "NodeState":
         # every field but pulled is immutable, so only pulled is copied

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 
 Edge = tuple[int, int]
 
@@ -49,13 +48,11 @@ def normalize_edges(pairs) -> frozenset[Edge]:
     return frozenset(edge(u, v) for u, v in pairs)
 
 
-@dataclass(frozen=True)
 class TimeVaryingGraph:
-    n: int
-    delta: int
-    stages: tuple[frozenset[Edge], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, delta: int, stages: tuple[frozenset[Edge], ...]) -> None:
+        self.n = n
+        self.delta = delta
+        self.stages = stages
         if self.n < 1:
             raise ScenarioError(f"need at least one node, got n={self.n}")
         if self.delta < 1:
@@ -128,7 +125,6 @@ def generate(
     return TimeVaryingGraph(n, delta, tuple(stages))
 
 
-@dataclass
 class PortAssignment:
     """Ground-truth port maps: for every stage and node, which neighbor sits
     behind each occupied port, and the inverse. Available to the engine and
@@ -137,8 +133,9 @@ class PortAssignment:
     A node whose edges did not change since the stage before shares that
     stage's map objects, so the maps are read-only."""
 
-    by_stage: list[list[dict[int, int]]] = field(default_factory=list)
-    inverse: list[list[dict[int, int]]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.by_stage: list[list[dict[int, int]]] = []
+        self.inverse: list[list[dict[int, int]]] = []
 
     def occupied(self, t: int, u: int) -> dict[int, int]:
         """port -> neighbor for node u at stage t."""

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .algorithms import SyncAlgorithm, make_algorithm, reference_run
 from .engine import RunTrace, SchedulerPolicy, _dumps, run
@@ -30,8 +29,7 @@ class SymmetryViolation(RuntimeError):
     """One endpoint committed an edge for a phase, the other did not."""
 
 
-@dataclass
-class ExtractedSynch:
+class ExtractedSynch(NamedTuple):
     """The committed-edge history recovered from a trace: one edge set per
     phase, up to the minimum phase every node completed. Later phases some
     nodes completed are reported but not comparable."""
@@ -82,8 +80,7 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
     return ExtractedSynch(steps=steps, completed=completed)
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     ok: bool
     compared_phases: int
     divergence: tuple[int, int, str, str] | None = None  # node, phase, got, want
@@ -118,11 +115,10 @@ def check_correctness(
     return EquivalenceReport(ok=True, compared_phases=m)
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(NamedTuple):
     ok: bool
     checked: int
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
 
 
 def check_sandwich(trace: RunTrace) -> InvariantReport:
@@ -164,6 +160,8 @@ def check_pulled_consistency(
     for u in range(trace.n):
         for ev in trace.index.executes[u]:
             resolved = {p: v for p, v in ev["committed_map"]}
+            if type(ev.get("pulled")) is not list:
+                raise ScenarioError(f"node {u} phase {ev['phase']}: pulled is not a list")
             for entry in ev["pulled"]:
                 checked += 1
                 if type(entry) is not list or len(entry) != 2:
@@ -209,13 +207,12 @@ def build_weak_nontriviality(
     return graph, scheduler
 
 
-@dataclass
-class StrongReport:
+class StrongReport(NamedTuple):
     ok: bool
     phases: int
     pairs_checked: int  # every node pair per phase, absent pairs included
-    missing: list[tuple[int, int, int]] = field(default_factory=list)  # u, v, phase
-    extra: list[tuple[int, int, int]] = field(default_factory=list)
+    missing: list[tuple[int, int, int]]  # u, v, phase
+    extra: list[tuple[int, int, int]]
 
 
 def check_strong_nontriviality(
@@ -328,8 +325,7 @@ def check_strong_nontriviality(
     )
 
 
-@dataclass
-class LivenessReport:
+class LivenessReport(NamedTuple):
     ok: bool
     target: int
     reached: int
@@ -372,8 +368,7 @@ def check_liveness(trace: RunTrace, target: int) -> LivenessReport:
 # -- impossibility demonstration ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """What one activation of a classic pull node sees: the stage-start bytes
     exposed behind each occupied port, plus the ports flagged dropped since
     its last activation."""

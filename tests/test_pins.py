@@ -3,11 +3,13 @@ engine or the synchronizer that changes a single artifact byte fails here.
 
 The benchmark's tiny workloads are checked against the digests in
 ``perfbench/workloads.py``, loaded by path and left unchanged; the bundled
-scenarios against the digests below.
+scenarios, and the scenario config and artifacts ``dynsync synth`` writes for
+README's target history, against the digests below.
 """
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -15,7 +17,8 @@ import pytest
 
 from dynsync import cli
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 BUNDLED = {
     "churn_mesh": (
@@ -30,6 +33,14 @@ BUNDLED = {
         "384e5fb9ecc85c1b62fa6393cf0d3e6a01109b80517fada29b63b267a0c7c394",
         "d366bad9195627d31368389c8fff83cc8251520694fa5ba0853363c00f0ffaae",
     ),
+}
+
+# the four files ``dynsync synth`` writes for README's target.json
+SYNTH = {
+    "target-synth.h.json": "602752f47767e84f6ab58603eab2097fa3c1eab17f939daa2bbcdcc7808ebe51",
+    "target-synth.report.txt": "b98eaa41741886f38932970abfee54d1e3d2ab18bdd65978965059e99fe6f770",
+    "target-synth.scenario.json": "b8d9e83b1f1388414bd49c277dad406076b257e1ed04f69ff9ffd3d37161df01",
+    "target-synth.trace.jsonl": "db5f1335488071bbae913d09ed06d4c25fb5eb015cc7d146a92620cfe930cbb3",
 }
 
 
@@ -75,3 +86,14 @@ def test_bundled_scenario_matches_its_pins(name, tmp_path, capsys):
 
 def test_every_bundled_scenario_is_pinned():
     assert sorted(BUNDLED) == cli.bundled_scenarios()
+
+
+def test_synth_of_the_readme_target_matches_its_pins(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    target = tmp_path / "target.json"
+    target.write_text(re.search(r"<<'EOF'\n(.*?\n)EOF", readme, re.S).group(1), encoding="utf-8")
+    out = tmp_path / "synth"
+    assert cli.main(["synth", str(target), "--out", str(out), "-q"]) == 0
+    assert capsys.readouterr().out.strip() == "RESULT PASS"
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert written == SYNTH

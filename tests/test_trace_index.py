@@ -490,3 +490,55 @@ def test_sandwich_fields_that_are_not_int_lists_are_named(key, value):
     # check_sandwich alone reads them
     message = f"node {ev['node']} phase {ev['phase']}: {key} is not an int list"
     assert_each_raises([check_sandwich], encode(header, rows), message)
+
+
+@pytest.mark.parametrize("value", ["missing", None, 7, ["ab"], {"hex": "ab"}])
+def test_execute_state_that_is_missing_or_not_a_string_is_named(value):
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    at = first_commit(rows)
+    ev = rows[at]
+    if value == "missing":
+        del ev["state"]
+        message = f"trace event {at} has no 'state' key"
+    else:
+        ev["state"] = value
+        message = f"node {ev['node']} phase {ev['phase']}: state is not a string"
+    # correctness and pulled consistency read the states: the index checks them
+    assert_every_check_raises(encode(header, rows), algo, message)
+
+
+@pytest.mark.parametrize("value", ["missing", None, 7, "ab", {"0": "ab"}])
+def test_pulled_that_is_missing_or_not_a_list_is_named(value):
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    ev = rows[first_commit(rows)]
+    if value == "missing":
+        del ev["pulled"]
+    else:
+        ev["pulled"] = value
+    # pulled consistency alone reads them
+    message = f"node {ev['node']} phase {ev['phase']}: pulled is not a list"
+    check = lambda tr: check_pulled_consistency(tr, algo)
+    assert_each_raises([check], encode(header, rows), message)
+
+
+SCHEDULER_KEYS = ("kind", "seed", "p_activate", "fairness_bound")
+
+
+@pytest.mark.parametrize("value", ["missing", None, [1], "all-active", *SCHEDULER_KEYS])
+def test_header_scheduler_that_is_not_a_policy_is_named(value):
+    trace, _ = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    if value == "missing":
+        del header["scheduler"]
+        message = "trace header has no 'scheduler' key"
+    elif value in SCHEDULER_KEYS:
+        del header["scheduler"][value]
+        message = f"trace header: scheduler has no {value!r} key"
+    else:
+        header["scheduler"] = value
+        message = f"trace header: scheduler must be an object, got {value!r}"
+    # the liveness check and the fairness audit read the policy the header records
+    checks = [lambda tr: check_liveness(tr, 1), fairness_audit]
+    assert_each_raises(checks, encode(header, rows), re.escape(message))
