@@ -22,28 +22,18 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from .algorithms import make_algorithm
-from .engine import (
-    InternalInvariantError,
-    RunTrace,
-    SchedulerPolicy,
-    _dumps,
-    fairness_audit,
-    run,
-)
+from .engine import InternalInvariantError, RunTrace, SchedulerPolicy, _dumps, run
 from .synchronizer import ProtocolViolation
 from .tvg import ScenarioError, TimeVaryingGraph, generate, normalize_edges
 from .verify import (
+    CHECK_NAMES,
     CLASSIC_PROTOCOLS,
     HANDSHAKE_DEMO,
+    CheckResult,
     ExtractedSynch,
-    SymmetryViolation,
+    Verdict,
     build_weak_nontriviality,
-    check_correctness,
-    check_liveness,
-    check_pulled_consistency,
-    check_sandwich,
-    check_strong_nontriviality,
-    extract_H,
+    check_trace,
     impossibility_demo,
     extended_model_demo,
 )
@@ -55,7 +45,6 @@ EXIT_INTERNAL = 3
 
 REPORT_SCHEMA = "report/v1"
 H_SCHEMA = "history/v1"
-CHECK_NAMES = ("correctness", "strong-nontriviality", "liveness", "fairness")
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -214,113 +203,35 @@ class ScenarioConfig(NamedTuple):
         return algo, inputs
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
-
-
 class ScenarioOutcome(NamedTuple):
     config: ScenarioConfig
     trace: RunTrace
     extracted: ExtractedSynch | None
-    extract_error: str | None
-    checks: list[CheckResult]
+    checks: Verdict
     stats: dict
 
     @property
     def ok(self) -> bool:
-        return self.extract_error is None and all(c.ok for c in self.checks)
+        return all(c.ok for c in self.checks)
 
 
-def execute_scenario(config: ScenarioConfig, selected: set[str] | None = None) -> ScenarioOutcome:
-    """Run the engine and the configured checks; no file I/O here."""
+def execute_scenario(config: ScenarioConfig) -> ScenarioOutcome:
+    """Run the engine and check its trace; no file I/O here."""
     graph = config.build_graph()
     scheduler = config.build_scheduler()
     algo, inputs = config.build_algorithm()
-    trace = run(
-        graph,
-        scheduler,
-        algo,
-        inputs=inputs,
-        header_extra={"scenario": config.name, "seed": config.seed},
-    )
-
-    extracted, extract_error = None, None
-    try:
-        extracted = extract_H(trace, graph.ports)
-    except (SymmetryViolation, ScenarioError) as exc:
-        extract_error = str(exc)
-
-    # identity test: a liveness target of 0 is a real request, but JSON
-    # false/absent is not, and 0 == False in Python
-    requested = [
-        name
-        for name in CHECK_NAMES
-        if config.checks.get(name, False) is not False
-        and (selected is None or name in selected)
-    ]
-    fair = fairness_audit(trace)
-    results: list[CheckResult] = []
-    for name in requested:
-        if name in ("correctness", "strong-nontriviality") and extracted is None:
-            results.append(CheckResult(name, False, f"history extraction failed: {extract_error}"))
-            continue
-        if name == "correctness":
-            equal = check_correctness(trace, algo, inputs, extracted=extracted)
-            sandwich = check_sandwich(trace)
-            snapshots = check_pulled_consistency(trace, algo, inputs)
-            ok = equal.ok and sandwich.ok and snapshots.ok
-            detail = equal.describe()
-            if not sandwich.ok:
-                detail += "; " + sandwich.failures[0]
-            elif not snapshots.ok:
-                detail += "; " + snapshots.failures[0]
-            else:
-                detail += (
-                    f"; {sandwich.checked} commits sandwiched; "
-                    f"{snapshots.checked} snapshots consistent"
-                )
-            results.append(CheckResult(name, ok, detail))
-        elif name == "strong-nontriviality":
-            strong = check_strong_nontriviality(trace, extracted)
-            if strong.ok:
-                detail = f"oracle agrees on {strong.phases} phases ({strong.pairs_checked} pair checks)"
-            else:
-                detail = f"missing {strong.missing[:3]} extra {strong.extra[:3]}"
-            results.append(CheckResult(name, strong.ok, detail))
-        elif name == "liveness":
-            live = check_liveness(trace, config.checks["liveness"])
-            detail = live.describe()
-            if not live.stall_ok:
-                detail += " (stall exceeds heuristic window)"
-            results.append(CheckResult(name, live.ok, detail))
-        elif name == "fairness":
-            results.append(
-                CheckResult(
-                    name,
-                    fair.ok,
-                    f"max activation gap {fair.max_gap} vs bound {fair.bound} "
-                    f"(worst node {fair.worst_node})",
-                )
-            )
-
+    header_extra = {"scenario": config.name, "seed": config.seed}
+    trace = run(graph, scheduler, algo, inputs=inputs, header_extra=header_extra)
+    checks = check_trace(trace, config.checks, graph.ports)
     index = trace.index
     stats = {
         "phases_completed": [len(events) for events in index.executes],
         "min_phase": len(index.phase_starts) - 1,
         "r_stages": index.phase_starts,
-        "max_fairness_gap": fair.max_gap,
+        "max_fairness_gap": checks.fairness.max_gap,
         "guard_checks": trace.footer.get("guard_checks"),
     }
-    return ScenarioOutcome(
-        config=config,
-        trace=trace,
-        extracted=extracted,
-        extract_error=extract_error,
-        checks=results,
-        stats=stats,
-    )
+    return ScenarioOutcome(config, trace, checks.extracted, checks, stats)
 
 
 def render_report(outcome: ScenarioOutcome) -> str:
@@ -331,13 +242,10 @@ def render_report(outcome: ScenarioOutcome) -> str:
         f"n {cfg.n} delta {cfg.delta} horizon {cfg.horizon} seed {cfg.seed}",
         f"algorithm {cfg.algorithm.get('name')}",
     ]
-    for key in ("phases_completed", "min_phase", "r_stages", "max_fairness_gap", "guard_checks"):
-        value = outcome.stats[key]
+    for key, value in outcome.stats.items():
         if isinstance(value, list):
             value = ",".join(map(str, value))
         lines.append(f"stat {key} {value}")
-    if outcome.extract_error is not None:
-        lines.append(f"CHECK extraction FAIL {outcome.extract_error}")
     for result in outcome.checks:
         lines.append(f"CHECK {result.name} {'PASS' if result.ok else 'FAIL'} {result.detail}")
     lines.append(f"RESULT {'PASS' if outcome.ok else 'FAIL'}")
@@ -352,7 +260,7 @@ def history_document(outcome: ScenarioOutcome) -> dict:
         "delta": outcome.config.delta,
     }
     if outcome.extracted is None:
-        doc["error"] = outcome.extract_error
+        doc["error"] = outcome.checks[0].detail  # the failed extraction's
     else:
         doc["phases"] = outcome.extracted.compared_phases
         doc["completed"] = outcome.extracted.completed
@@ -424,11 +332,12 @@ def load_config(ref: str, seed_override: int | None = None) -> ScenarioConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.scenario, args.seed)
-    selected = set(args.checks.split(",")) if args.checks else None
-    if selected is not None:
+    if args.checks:
+        selected = set(args.checks.split(","))
         unknown = selected - set(CHECK_NAMES)
         _require(not unknown, f"unknown checks requested: {sorted(unknown)}")
-    return finish(execute_scenario(config, selected), Path(args.out), args.quiet)
+        config = config._replace(checks={k: v for k, v in config.checks.items() if k in selected})
+    return finish(execute_scenario(config), Path(args.out), args.quiet)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -85,16 +85,9 @@ class SchedulerPolicy:
 
     @classmethod
     def from_header(cls, header: dict) -> "SchedulerPolicy":
-        """The policy a trace header records (a scripted policy without its
-        script, which the header does not carry)."""
-        if "scheduler" not in header:
-            raise ScenarioError("trace header has no 'scheduler' key")
+        """The policy a trace header records, whose keys ``RunTrace.index``
+        checks (a scripted policy without its script, which the header does not carry)."""
         sched = header["scheduler"]
-        if type(sched) is not dict:
-            raise ScenarioError(f"trace header: scheduler must be an object, got {sched!r}")
-        for key in ("kind", "seed", "p_activate", "fairness_bound"):
-            if key not in sched:
-                raise ScenarioError(f"trace header: scheduler has no {key!r} key")
         return cls(
             kind=sched["kind"],
             seed=sched["seed"],
@@ -371,8 +364,30 @@ class RunTrace:
 
     @functools.cached_property
     def index(self) -> TraceIndex:
-        """The per-node index of the events, built on first use."""
-        return TraceIndex.build(self.n, self.horizon, self.events)
+        """The per-node index of the events, built on first use once the
+        header is checked: ``n``, ``delta`` and ``horizon`` integers >= 1 (a
+        JSON boolean is not one), ``algorithm`` present, ``inputs`` null or
+        one integer per node, and ``scheduler`` an object with the four keys
+        ``SchedulerPolicy.from_header`` reads."""
+        header = self.header
+        for key in ("n", "delta", "horizon", "algorithm", "inputs", "scheduler"):
+            if key not in header:
+                raise ScenarioError(f"trace header has no {key!r} key")
+        for key in ("n", "delta", "horizon"):
+            value = header[key]
+            if type(value) is not int or value < 1:
+                raise ScenarioError(f"trace header: {key} must be an integer >= 1, got {value!r}")
+        n, inputs, sched = header["n"], header["inputs"], header["scheduler"]
+        if inputs is not None and not (
+            type(inputs) is list and len(inputs) == n and {int}.issuperset(map(type, inputs))
+        ):
+            raise ScenarioError(f"trace header: inputs must be null or {n} integers: {inputs!r}")
+        if type(sched) is not dict:
+            raise ScenarioError(f"trace header: scheduler must be an object, got {sched!r}")
+        for key in ("kind", "seed", "p_activate", "fairness_bound"):
+            if key not in sched:
+                raise ScenarioError(f"trace header: scheduler has no {key!r} key")
+        return TraceIndex.build(n, header["horizon"], self.events)
 
     def stage_events(self) -> list[dict]:
         return list(self.index.stages)
@@ -540,11 +555,11 @@ def fairness_audit(trace: RunTrace) -> FairnessReport:
     """Max activation gap per node, counted from a virtual activation at
     stage -1, compared against the bound the trace header's scheduler
     promises."""
-    bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(trace.n, trace.horizon)
     max_gap, worst, worst_t = 0, 0, -1
     for u, stages in enumerate(trace.index.acts):
         for last, t in zip([-1] + stages, stages):
             # the worst node is the first a stage-by-stage walk finds
             if t - last > max_gap or (t - last == max_gap and t < worst_t):
                 max_gap, worst, worst_t = t - last, u, t
+    bound = SchedulerPolicy.from_header(trace.header).implied_gap_bound(trace.n, trace.horizon)
     return FairnessReport(max_gap=max_gap, bound=bound, worst_node=worst, ok=max_gap <= bound)

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from typing import Any, NamedTuple, Sequence
 
 from .algorithms import SyncAlgorithm, make_algorithm, reference_run
-from .engine import RunTrace, SchedulerPolicy, _dumps, run
+from .engine import FairnessReport, RunTrace, SchedulerPolicy, _dumps, fairness_audit, run
 from .tvg import (
     Edge,
     PortAssignment,
@@ -46,8 +46,8 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
     """Recover the per-phase committed edge sets, failing loudly on any
     one-sided commitment. When a port assignment is supplied, the trace's
     embedded ground-truth port maps are cross-checked against it."""
-    n, delta = trace.n, trace.header["delta"]
     per_node = trace.index.executes
+    n, delta = trace.n, trace.header["delta"]
     completed = [len(evs) for evs in per_node]
     committed: dict[tuple[int, int], dict[int, int]] = {}
     for u in range(n):
@@ -101,12 +101,12 @@ def check_correctness(
     """Byte-compare every node's phase-boundary algorithm state against a
     fully synchronous reference run over the extracted edge history. Without
     ``extracted`` the history is extracted here."""
+    executes = trace.index.executes
     if extracted is None:
         extracted = extract_H(trace)
     m = extracted.compared_phases
     reference = reference_run(algo, extracted.steps, trace.n, inputs)
-    for u in range(trace.n):
-        events = trace.index.executes[u]
+    for u, events in enumerate(executes):
         for i in range(m):
             got = events[i]["state"]
             want = algo.serialize(reference.state(u, i)).hex()
@@ -125,8 +125,8 @@ def check_sandwich(trace: RunTrace) -> InvariantReport:
     """At every phase commit: the ports still waited on are all committed,
     and nothing outside the phase's wait-set origin is."""
     checked, failures = 0, []
-    for u in range(trace.n):
-        for ev in trace.index.executes[u]:
+    for u, events in enumerate(trace.index.executes):
+        for ev in events:
             checked += 1
             for key in ("committed", "valid", "phase_drops"):
                 if type(ev.get(key)) is not list or not {int}.issuperset(map(type, ev[key])):
@@ -152,13 +152,13 @@ def check_pulled_consistency(
     state at the partner's own commit boundary for the same phase."""
     checked, failures = 0, []
     boundary: dict[tuple[int, int], str] = {}
-    for v in range(trace.n):
+    for v, events in enumerate(trace.index.executes):
         init = algo.init(v, None if inputs is None else inputs[v])
         boundary[(v, -1)] = algo.serialize(init).hex()
-        for i, ev in enumerate(trace.index.executes[v]):
+        for i, ev in enumerate(events):
             boundary[(v, i)] = ev["state"]
-    for u in range(trace.n):
-        for ev in trace.index.executes[u]:
+    for u, events in enumerate(trace.index.executes):
+        for ev in events:
             resolved = {p: v for p, v in ev["committed_map"]}
             if type(ev.get("pulled")) is not list:
                 raise ScenarioError(f"node {u} phase {ev['phase']}: pulled is not a list")
@@ -234,8 +234,8 @@ def check_strong_nontriviality(
     """
     if extracted is None:
         extracted = extract_H(trace)
-    n = trace.n
     index = trace.index
+    n = trace.n
     horizon = len(index.stages)
     # One pass over the stages builds, for each stage t, since[t], which maps
     # each present edge's key u*n+v to the first stage of its unbroken
@@ -335,9 +335,10 @@ class LivenessReport(NamedTuple):
     stall_ok: bool  # heuristic, not a formal bound
 
     def describe(self) -> str:
+        note = "" if self.stall_ok else " (stall exceeds heuristic window)"
         return (
             f"min phase reached {self.reached} (target {self.target}); "
-            f"max stall {self.max_stall} vs heuristic window {self.stall_window}"
+            f"max stall {self.max_stall} vs heuristic window {self.stall_window}{note}"
         )
 
 
@@ -363,6 +364,80 @@ def check_liveness(trace: RunTrace, target: int) -> LivenessReport:
         stall_window=window,
         stall_ok=max_stall <= window,
     )
+
+
+CHECK_NAMES = ("correctness", "strong-nontriviality", "liveness", "fairness")
+
+
+class CheckResult(NamedTuple):
+    name: str
+    ok: bool
+    detail: str
+
+
+class Verdict(list):
+    """The ``CheckResult`` list ``check_trace`` returns. It also carries the
+    extracted history (None when extraction failed) and the fairness audit,
+    which a run's statistics read whether or not fairness was requested."""
+
+    extracted: ExtractedSynch | None = None
+    fairness: FairnessReport
+
+
+def check_trace(trace: RunTrace, checks: dict, ports: PortAssignment | None = None) -> Verdict:
+    """Extract the history, audit fairness and run each requested checker,
+    each once.
+
+    ``checks`` maps check names to settings, as a config's ``checks`` does:
+    a name whose setting is False is not requested, so a liveness target of 0
+    is. The algorithm and inputs are rebuilt from the trace header, and
+    ``ports`` goes to ``extract_H`` for the port-map cross-check. A malformed
+    header or event raises ``ScenarioError``; a failed extraction is the first
+    result, ``extraction``, and fails the checks that need the history.
+    """
+    trace.index  # bad input raises here, not as a failed extraction
+    algo, inputs = make_algorithm(trace.header["algorithm"]), trace.header["inputs"]
+    results = Verdict()
+    try:
+        results.extracted = extract_H(trace, ports)
+    except (SymmetryViolation, ScenarioError) as exc:
+        results.append(CheckResult("extraction", False, str(exc)))
+    results.fairness = fair = fairness_audit(trace)
+    for name in CHECK_NAMES:
+        # identity test: JSON false or absent is no request, but a liveness
+        # target of 0 is one, and 0 == False
+        if checks.get(name, False) is False:
+            continue
+        if name in ("correctness", "strong-nontriviality") and results.extracted is None:
+            failed = f"history extraction failed: {results[0].detail}"
+            results.append(CheckResult(name, False, failed))
+        elif name == "correctness":
+            equal = check_correctness(trace, algo, inputs, extracted=results.extracted)
+            sandwich = check_sandwich(trace)
+            snapshots = check_pulled_consistency(trace, algo, inputs)
+            failures = sandwich.failures + snapshots.failures
+            summary = (
+                f"{sandwich.checked} commits sandwiched; {snapshots.checked} snapshots consistent"
+            )
+            detail = f"{equal.describe()}; {failures[0] if failures else summary}"
+            results.append(CheckResult(name, equal.ok and not failures, detail))
+        elif name == "strong-nontriviality":
+            strong = check_strong_nontriviality(trace, results.extracted)
+            if strong.ok:
+                detail = f"oracle agrees on {strong.phases} phases ({strong.pairs_checked} pair checks)"
+            else:
+                detail = f"missing {strong.missing[:3]} extra {strong.extra[:3]}"
+            results.append(CheckResult(name, strong.ok, detail))
+        elif name == "liveness":
+            live = check_liveness(trace, checks["liveness"])
+            results.append(CheckResult(name, live.ok, live.describe()))
+        else:
+            detail = (
+                f"max activation gap {fair.max_gap} vs bound {fair.bound} "
+                f"(worst node {fair.worst_node})"
+            )
+            results.append(CheckResult(name, fair.ok, detail))
+    return results
 
 
 # -- impossibility demonstration ---------------------------------------------

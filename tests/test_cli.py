@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from dynsync.algorithms import make_algorithm
 import dynsync.cli
 from dynsync.cli import (
     EXIT_CHECK_FAILED,
@@ -21,17 +20,10 @@ from dynsync.cli import (
     load_config,
     main,
 )
-from dynsync.engine import RunTrace, fairness_audit
+from dynsync.engine import RunTrace
 from dynsync.synchronizer import handshake
 from dynsync.tvg import ScenarioError
-from dynsync.verify import (
-    check_correctness,
-    check_liveness,
-    check_pulled_consistency,
-    check_sandwich,
-    check_strong_nontriviality,
-    extract_H,
-)
+from dynsync.verify import check_trace
 
 
 def write_config(tmp_path, name="tiny", **overrides):
@@ -298,26 +290,56 @@ def test_malformed_values_exit_config_invalid(tmp_path, capsys, command, payload
 @pytest.mark.parametrize("name", bundled_scenarios())
 def test_written_trace_read_back_passes_every_configured_check(tmp_path, name):
     """The path an offline check takes: the trace on disk, not the run's own
-    in-memory copy, carries everything extraction and the checkers need."""
+    in-memory copy, carries everything extraction and the checkers need, and
+    checking it gives the CHECK lines of the run's report."""
     assert main(["run", name, "--out", str(tmp_path), "-q"]) == EXIT_OK
     trace = RunTrace.from_jsonl((tmp_path / f"{name}.trace.jsonl").read_bytes())
-    algo, inputs = make_algorithm(trace.header["algorithm"]), trace.header["inputs"]
-    extracted = extract_H(trace)
+    results = check_trace(trace, load_config(name).checks)
+    extracted = results.extracted
     written = json.loads((tmp_path / f"{name}.h.json").read_text())
     assert written["phases"] == extracted.compared_phases
     assert written["completed"] == extracted.completed
     assert written["steps"] == [sorted(map(list, step)) for step in extracted.steps]
-    checks = load_config(name).checks
-    if checks.get("correctness"):
-        assert check_correctness(trace, algo, inputs, extracted=extracted).ok
-        assert check_sandwich(trace).ok
-        assert check_pulled_consistency(trace, algo, inputs).ok
-    if checks.get("fairness"):
-        assert fairness_audit(trace).ok
-    if checks.get("strong-nontriviality"):
-        assert check_strong_nontriviality(trace, extracted).ok
-    if checks.get("liveness", False) is not False:
-        assert check_liveness(trace, checks["liveness"]).ok
+    rendered = [f"CHECK {r.name} {'PASS' if r.ok else 'FAIL'} {r.detail}" for r in results]
+    report = (tmp_path / f"{name}.report.txt").read_text().splitlines()
+    assert rendered == [line for line in report if line.startswith("CHECK ")]
+
+
+def test_a_failed_extraction_is_the_first_check_and_fails_the_run(tmp_path, monkeypatch, capsys):
+    """Extraction is a check: a one-sided commit is reported before every
+    other check, fails the two that need the history, and is the history
+    file's error."""
+    dropped, original = [], dynsync.cli.run
+
+    def one_sided_run(*args, **kwargs):
+        trace = original(*args, **kwargs)
+        ev = next(ev for ev in trace.events if ev.get("committed_map"))
+        _, neighbor = ev["committed_map"].pop()
+        dropped.append((ev["node"], ev["phase"], neighbor))
+        return trace
+
+    monkeypatch.setattr(dynsync.cli, "run", one_sided_run)
+    assert main(["run", "static_triangle", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+    [(u, i, v)] = dropped
+    msg = f"phase {i}: node {v} committed the edge to {u}, node {u} did not"
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line for line in lines if line.startswith("CHECK ")]
+    assert checks[0] == f"CHECK extraction FAIL {msg}"
+    assert checks[1] == f"CHECK correctness FAIL history extraction failed: {msg}"
+    assert checks[2] == f"CHECK strong-nontriviality FAIL history extraction failed: {msg}"
+    assert [line.split()[1:3] for line in checks[3:]] == [
+        ["liveness", "PASS"],
+        ["fairness", "PASS"],
+    ]
+    assert "RESULT FAIL" in lines
+    history = json.loads((tmp_path / "static_triangle.h.json").read_text())
+    assert history == {
+        "schema": "history/v1",
+        "scenario": "static_triangle",
+        "n": 3,
+        "delta": 2,
+        "error": msg,
+    }
 
 
 @pytest.mark.parametrize("name", bundled_scenarios())
@@ -332,7 +354,7 @@ def test_a_run_and_its_check_leave_no_cyclic_garbage(name):
         data = outcome.trace.to_jsonl()
         del outcome
         assert gc.collect() == 0
-        extract_H(RunTrace.from_jsonl(data))
+        check_trace(RunTrace.from_jsonl(data), load_config(name).checks)
         assert gc.collect() == 0
     finally:
         if was_enabled:

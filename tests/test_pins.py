@@ -3,8 +3,9 @@ engine or the synchronizer that changes a single artifact byte fails here.
 
 The benchmark's tiny workloads are checked against the digests in
 ``perfbench/workloads.py``, loaded by path and left unchanged; the bundled
-scenarios, and the scenario config and artifacts ``dynsync synth`` writes for
-README's target history, against the digests below.
+scenarios, with their reports, and the scenario config and artifacts
+``dynsync synth`` writes for README's target history, against the digests
+below.
 """
 import hashlib
 import importlib.util
@@ -20,18 +21,22 @@ from dynsync import cli
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
+# trace, history and report
 BUNDLED = {
     "churn_mesh": (
         "4bd1ca230228345cb27b52fea27f8486082f7f85741aaa08438cac5bf959efda",
         "4a7dad5c59293ef965d94ba762878a4ed600749273dace8c3cffef0fc2d6d003",
+        "447cc6b669ef1fe9732042606b18006d05c56f0ffe4c17869eb697153c68b7f3",
     ),
     "edge_agreement_cases": (
         "e13dcb9a0375828aff2f45118644238a432c98e289a012a26c11e0c32de2130f",
         "2c9592b53ffb58a09b6747221c466d0c573a5c1d8133d5f2c76ffd6d3d587923",
+        "3ca87c68725f775a2447caf8d65dfe41a14f50715d21ee23503970f06fb41e97",
     ),
     "static_triangle": (
         "384e5fb9ecc85c1b62fa6393cf0d3e6a01109b80517fada29b63b267a0c7c394",
         "d366bad9195627d31368389c8fff83cc8251520694fa5ba0853363c00f0ffaae",
+        "6a3f562cd6acd352d47a797669f26d0cd667b6b4813379db0862525b50286210",
     ),
 }
 
@@ -81,7 +86,10 @@ def test_tiny_workload_matches_its_pins(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_bundled_scenario_matches_its_pins(name, tmp_path, capsys):
-    assert run_digests(name, name, tmp_path, capsys) == BUNDLED[name]
+    trace, history, report = BUNDLED[name]
+    assert run_digests(name, name, tmp_path, capsys) == (trace, history)
+    written = (tmp_path / f"{name}.report.txt").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == report
 
 
 def test_every_bundled_scenario_is_pinned():

@@ -16,8 +16,11 @@ from dynsync.verify import (
     check_pulled_consistency,
     check_sandwich,
     check_strong_nontriviality,
+    check_trace,
     extract_H,
 )
+
+EVERY_CHECK = {"correctness": True, "strong-nontriviality": True, "liveness": 1, "fairness": True}
 
 
 def churn_trace(seed, n=6, delta=2, horizon=80):
@@ -34,12 +37,14 @@ def assert_each_raises(checks, data, message):
 
 
 def assert_every_check_raises(data, algo, message):
-    """extract_H and the six checkers each refuse the trace ``data``."""
+    """check_trace, extract_H and the six checkers each refuse the trace
+    ``data``; the checkers that take inputs get those the header records."""
     checks = [
+        lambda tr: check_trace(tr, EVERY_CHECK),
         extract_H,
-        lambda tr: check_correctness(tr, algo),
+        lambda tr: check_correctness(tr, algo, tr.header.get("inputs")),
         check_sandwich,
-        lambda tr: check_pulled_consistency(tr, algo),
+        lambda tr: check_pulled_consistency(tr, algo, tr.header.get("inputs")),
         check_strong_nontriviality,
         lambda tr: check_liveness(tr, 1),
         fairness_audit,
@@ -528,7 +533,7 @@ SCHEDULER_KEYS = ("kind", "seed", "p_activate", "fairness_bound")
 
 @pytest.mark.parametrize("value", ["missing", None, [1], "all-active", *SCHEDULER_KEYS])
 def test_header_scheduler_that_is_not_a_policy_is_named(value):
-    trace, _ = churn_trace(2)
+    trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     if value == "missing":
         del header["scheduler"]
@@ -539,6 +544,41 @@ def test_header_scheduler_that_is_not_a_policy_is_named(value):
     else:
         header["scheduler"] = value
         message = f"trace header: scheduler must be an object, got {value!r}"
-    # the liveness check and the fairness audit read the policy the header records
-    checks = [lambda tr: check_liveness(tr, 1), fairness_audit]
-    assert_each_raises(checks, encode(header, rows), re.escape(message))
+    # the header is checked, scheduler included, before the index is built
+    assert_every_check_raises(encode(header, rows), algo, re.escape(message))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        *[(key, "missing") for key in ("n", "delta", "horizon", "algorithm", "inputs")],
+        ("n", "6"),
+        ("n", True),
+        ("n", 0),
+        ("delta", None),
+        ("delta", 0),
+        ("delta", 2.0),
+        ("horizon", 80.0),
+        ("horizon", -1),
+        ("inputs", [1]),
+        ("inputs", [0, 1, 2, 3, 4, 5, 6]),
+        ("inputs", "abcdef"),
+        ("inputs", {"0": 1}),
+        ("inputs", [0, 1, 2, 3, 4, "5"]),
+        ("inputs", [True] * 6),
+    ],
+)
+def test_header_sizes_algorithm_and_inputs_are_named(key, value):
+    trace, algo = churn_trace(2)
+    assert trace.n == 6
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    if value == "missing":
+        del header[key]
+        message = f"trace header has no {key!r} key"
+    elif key == "inputs":
+        header[key] = value
+        message = f"trace header: inputs must be null or 6 integers: {value!r}"
+    else:
+        header[key] = value
+        message = f"trace header: {key} must be an integer >= 1, got {value!r}"
+    assert_every_check_raises(encode(header, rows), algo, re.escape(message))
