@@ -8,7 +8,8 @@ harness uses when it hands a neighbor collection to ``step``.
 """
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is this same type, but importing hashlib also loads OpenSSL
+from _blake2 import blake2b
 from abc import ABC, abstractmethod
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -79,10 +80,10 @@ class HistoryHashAlgo(SyncAlgorithm):
     name = "history-hash"
 
     def init(self, node: int, value: Any = None) -> bytes:
-        return hashlib.blake2b(b"genesis", digest_size=DIGEST_SIZE).digest()
+        return blake2b(b"genesis", digest_size=DIGEST_SIZE).digest()
 
     def step(self, own: bytes, neighbors: Sequence[bytes]) -> bytes:
-        h = hashlib.blake2b(digest_size=DIGEST_SIZE)
+        h = blake2b(digest_size=DIGEST_SIZE)
         h.update(own)
         for d in sorted(neighbors):
             h.update(d)

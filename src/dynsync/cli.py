@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import sys
+# hashlib.blake2b is this same type, but importing hashlib also loads OpenSSL
+from _blake2 import blake2b
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -50,7 +51,7 @@ H_SCHEMA = "history/v1"
 def derive_seed(seed: int, label: str) -> int:
     """Stable per-component sub-seed so one config seed fans out without the
     dynamics and scheduler streams colliding."""
-    digest = hashlib.blake2b(f"{seed}:{label}".encode("ascii"), digest_size=8).digest()
+    digest = blake2b(f"{seed}:{label}".encode("ascii"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

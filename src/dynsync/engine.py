@@ -164,15 +164,21 @@ def _dumps(obj: Any) -> str:
 _scan = json.JSONDecoder().scan_once
 
 
+def _not_an_int(i: int, key: str, value: Any) -> ScenarioError:
+    # the test stays inline: a call per event would slow the index build
+    return ScenarioError(f"trace event {i}: {key!r} must be an integer, got {value!r}")
+
+
 class TraceIndex:
     """Per-node view of a trace's events, built in one pass over them. It
     checks, once, each field that several checkers read; a field that one
     checker reads is checked where it is read. The stage events must be
     0..horizon-1 in order, each ``activated`` list strictly increasing nodes
     in 0..n-1, and each stage's actions exactly its activated nodes, in order.
-    Node u's k-th execute must be in phase k, after its k-th init handshake,
-    in phase k too, its ``state`` a string and each neighbor in its
-    ``committed_map`` a node.
+    Each event's ``t``, each action's ``node`` and each execute's and init
+    handshake's ``phase`` must be integers. Node u's k-th execute must be in
+    phase k, after its k-th init handshake, in phase k too, its ``state`` a
+    string and its ``committed_map`` a list whose every neighbor is a node.
 
     The lists hold the event dicts themselves, so an in-place edit of an
     event shows through the index, but an edit after the build is not
@@ -198,7 +204,7 @@ class TraceIndex:
             for i, ev in enumerate(events):
                 t = ev["t"]
                 if type(t) is not int:
-                    raise ScenarioError(f"trace event {i}: 't' must be an integer, got {t!r}")
+                    raise _not_an_int(i, "t", t)
                 # phase lookups bisect the per-node stage lists
                 if t < last_t:
                     raise ScenarioError(f"trace event at stage {t} follows stage {last_t}")
@@ -230,7 +236,7 @@ class TraceIndex:
                     raise ScenarioError(f"trace event {i}: unknown kind {kind!r}")
                 u = ev["node"]
                 if type(u) is not int:
-                    raise ScenarioError(f"trace event {i}: 'node' must be an integer, got {u!r}")
+                    raise _not_an_int(i, "node", u)
                 if t >= len(index.stages):
                     raise ScenarioError(f"stage {t}: action of node {u} before the stage event")
                 # the activated nodes are in 0..n-1, and so, then, is u
@@ -239,13 +245,18 @@ class TraceIndex:
                 action = ev["action"]
                 if action == "execute":
                     k = len(index.executes[u])
-                    if ev["phase"] != k:
+                    phase = ev["phase"]
+                    if type(phase) is not int:
+                        raise _not_an_int(i, "phase", phase)
+                    if phase != k:
                         raise ScenarioError(f"node {u}: phase counter skew at event {k}")
                     # the strong oracle reads phase k's init handshake by position
                     if k >= len(index.inits[u]) or index.inits[u][k]["phase"] != k:
                         raise ScenarioError(f"node {u}: no init handshake for completed phase {k}")
                     if type(ev["state"]) is not str:
                         raise ScenarioError(f"node {u} phase {k}: state is not a string")
+                    if type(ev["committed_map"]) is not list:
+                        raise ScenarioError(f"node {u} phase {k}: committed_map is not a list")
                     for entry in ev["committed_map"]:
                         if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not int:
                             raise ScenarioError(
@@ -261,6 +272,8 @@ class TraceIndex:
                 elif action == "handshake":
                     branch = ev["branch"]
                     if branch == "init":
+                        if type(ev["phase"]) is not int:
+                            raise _not_an_int(i, "phase", ev["phase"])
                         index.inits[u].append(ev)
                     elif branch != "continue":
                         raise ScenarioError(f"trace event {i}: unknown branch {branch!r}")
@@ -365,19 +378,26 @@ class RunTrace:
     @functools.cached_property
     def index(self) -> TraceIndex:
         """The per-node index of the events, built on first use once the
-        header is checked: ``n``, ``delta`` and ``horizon`` integers >= 1 (a
-        JSON boolean is not one), ``algorithm`` present, ``inputs`` null or
-        one integer per node, and ``scheduler`` an object with the four keys
-        ``SchedulerPolicy.from_header`` reads."""
+        header is checked: ``schema`` the one this module writes, ``n``,
+        ``delta`` and ``horizon`` integers >= 1 (a JSON boolean is not one),
+        ``algorithm`` present, ``inputs`` null or one integer per node, and
+        ``scheduler`` an object with the four keys
+        ``SchedulerPolicy.from_header`` reads. After the build, the footer
+        must count the horizon's stages and each node's executes."""
         header = self.header
-        for key in ("n", "delta", "horizon", "algorithm", "inputs", "scheduler"):
+        for key in ("schema", "n", "delta", "horizon", "algorithm", "inputs", "scheduler"):
             if key not in header:
                 raise ScenarioError(f"trace header has no {key!r} key")
+        if header["schema"] != TRACE_SCHEMA:
+            raise ScenarioError(
+                f"trace header: schema must be {TRACE_SCHEMA!r}, got {header['schema']!r}"
+            )
         for key in ("n", "delta", "horizon"):
             value = header[key]
             if type(value) is not int or value < 1:
                 raise ScenarioError(f"trace header: {key} must be an integer >= 1, got {value!r}")
-        n, inputs, sched = header["n"], header["inputs"], header["scheduler"]
+        n, horizon = header["n"], header["horizon"]
+        inputs, sched = header["inputs"], header["scheduler"]
         if inputs is not None and not (
             type(inputs) is list and len(inputs) == n and {int}.issuperset(map(type, inputs))
         ):
@@ -387,7 +407,22 @@ class RunTrace:
         for key in ("kind", "seed", "p_activate", "fairness_bound"):
             if key not in sched:
                 raise ScenarioError(f"trace header: scheduler has no {key!r} key")
-        return TraceIndex.build(n, header["horizon"], self.events)
+        index = TraceIndex.build(n, horizon, self.events)
+        # after the build, so that a truncated trace reads as one
+        if not self.footer:
+            raise ScenarioError("trace has no footer")
+        stages, phases = self.footer.get("stages"), self.footer.get("final_phases")
+        if type(stages) is not int or stages != horizon:
+            raise ScenarioError(
+                f"trace footer: stages must be the horizon {horizon}, got {stages!r}"
+            )
+        counts = [len(executes) for executes in index.executes]
+        # n >= 1, so equal lists are not empty, and a boolean is not an int
+        if type(phases) is not list or phases != counts or set(map(type, phases)) != {int}:
+            raise ScenarioError(
+                f"trace footer: final_phases must be each node's executes {counts}, got {phases!r}"
+            )
+        return index
 
     def stage_events(self) -> list[dict]:
         return list(self.index.stages)

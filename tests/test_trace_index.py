@@ -566,6 +566,10 @@ def test_header_scheduler_that_is_not_a_policy_is_named(value):
         ("inputs", {"0": 1}),
         ("inputs", [0, 1, 2, 3, 4, "5"]),
         ("inputs", [True] * 6),
+        ("schema", "missing"),
+        ("schema", "trace/v9"),
+        ("schema", "trace/v2"),
+        ("schema", None),
     ],
 )
 def test_header_sizes_algorithm_and_inputs_are_named(key, value):
@@ -575,6 +579,9 @@ def test_header_sizes_algorithm_and_inputs_are_named(key, value):
     if value == "missing":
         del header[key]
         message = f"trace header has no {key!r} key"
+    elif key == "schema":
+        header[key] = value
+        message = f"trace header: schema must be 'trace/v1', got {value!r}"
     elif key == "inputs":
         header[key] = value
         message = f"trace header: inputs must be null or 6 integers: {value!r}"
@@ -582,3 +589,84 @@ def test_header_sizes_algorithm_and_inputs_are_named(key, value):
         header[key] = value
         message = f"trace header: {key} must be an integer >= 1, got {value!r}"
     assert_every_check_raises(encode(header, rows), algo, re.escape(message))
+
+
+@pytest.mark.parametrize("value", [None, 5, "ab", {"0": 1}])
+def test_committed_map_that_is_not_a_list_is_named(value):
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    ev = rows[first_commit(rows)]
+    ev["committed_map"] = value
+    message = f"node {ev['node']} phase {ev['phase']}: committed_map is not a list"
+    assert_every_check_raises(encode(header, rows), algo, message)
+
+
+@pytest.mark.parametrize(
+    "branch, phase, value",
+    [
+        (None, 1, True),
+        (None, 1, 1.0),
+        (None, 0, "0"),
+        ("init", 0, 0.0),
+        ("init", 0, False),
+        ("init", 1, [1]),
+    ],
+)
+def test_phase_that_is_not_an_integer_is_named(branch, phase, value):
+    # branch None is an execute; every event of the kind and phase is rewritten
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    at = [
+        i
+        for i, ev in enumerate(rows)
+        if ev.get("action") == ("handshake" if branch else "execute")
+        and ev.get("branch") == branch
+        and ev["phase"] == phase
+    ]
+    assert at
+    for i in at:
+        rows[i]["phase"] = value
+    message = re.escape(f"trace event {at[0]}: 'phase' must be an integer, got {value!r}")
+    assert_every_check_raises(encode(header, rows), algo, message)
+
+
+# edits of the footer's final_phases, given each node's execute count
+PHASE_EDITS = {
+    "short": lambda counts: counts[:-1],
+    "bumped": lambda counts: [*counts[:-1], counts[-1] + 1],
+    "floats": lambda counts: list(map(float, counts)),
+    "sum": sum,
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        *[("stages", value) for value in ["missing", 79, 81, 80.0, "80"]],
+        *[("final_phases", value) for value in ["missing", *PHASE_EDITS]],
+    ],
+)
+def test_footer_must_count_the_stages_and_each_nodes_executes(key, value):
+    trace, algo = churn_trace(2)
+    counts = [len(executes) for executes in trace.index.executes]
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    footer = rows[-1]
+    assert footer["kind"] == "footer"
+    if value == "missing":
+        del footer[key]
+        value = None
+    else:
+        if key == "final_phases":
+            value = PHASE_EDITS[value](counts)
+        footer[key] = value
+    if key == "stages":
+        message = f"trace footer: stages must be the horizon 80, got {value!r}"
+    else:
+        message = f"trace footer: final_phases must be each node's executes {counts}, got {value!r}"
+    assert_every_check_raises(encode(header, rows), algo, re.escape(message))
+
+
+def test_trace_without_a_footer_is_named():
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    assert_every_check_raises(encode(header, rows[:-1]), algo, "trace has no footer")
