@@ -3,8 +3,16 @@
 Runs a synchronous message-passing algorithm on top of a semi-synchronous
 network whose edges may appear and vanish at every stage, using a per-port
 ack/block handshake to agree edge by edge on each simulated round's graph.
-The package bundles the execution engine, trace format, independent
-verifiers, and a scenario CLI.
+
+The modules: ``tvg`` (time-varying graphs and port assignments),
+``synchronizer`` (the per-node protocol), ``algorithms`` (the wrapped
+algorithms and their synchronous reference runner), ``engine`` (schedules
+and the run loop), ``trace`` (the trace format, its checks and index, and
+the fairness audit), ``verify`` (the checkers), ``demo`` (the
+model-separation demo) and ``cli`` (the scenario command line). ``trace``
+and ``verify`` import neither ``engine`` nor ``synchronizer``, so the
+checkers stay independent of the code they check. Every public name is
+re-exported here.
 """
 
 from .algorithms import (
@@ -15,14 +23,11 @@ from .algorithms import (
     make_algorithm,
     reference_run,
 )
-from .engine import (
-    InternalInvariantError,
-    RunTrace,
-    SchedulerPolicy,
-    fairness_audit,
-    run,
-)
+from .cli import build_weak_nontriviality
+from .demo import extended_model_demo, impossibility_demo
+from .engine import InternalInvariantError, SchedulerPolicy, run
 from .synchronizer import NodeState, ProtocolViolation, serialize_sync_state
+from .trace import RunTrace, fairness_audit
 from .tvg import (
     PortAssignment,
     ScenarioError,
@@ -32,13 +37,10 @@ from .tvg import (
 )
 from .verify import (
     SymmetryViolation,
-    build_weak_nontriviality,
     check_correctness,
     check_liveness,
     check_strong_nontriviality,
-    extended_model_demo,
     extract_H,
-    impossibility_demo,
 )
 
 __version__ = "0.1.0"

@@ -20,24 +20,15 @@ from _blake2 import blake2b
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 from .algorithms import make_algorithm
-from .engine import InternalInvariantError, RunTrace, SchedulerPolicy, _dumps, run
+from .demo import CLASSIC_PROTOCOLS, HANDSHAKE_DEMO, extended_model_demo, impossibility_demo
+from .engine import InternalInvariantError, SchedulerPolicy, run
 from .synchronizer import ProtocolViolation
-from .tvg import ScenarioError, TimeVaryingGraph, generate, normalize_edges
-from .verify import (
-    CHECK_NAMES,
-    CLASSIC_PROTOCOLS,
-    HANDSHAKE_DEMO,
-    CheckResult,
-    ExtractedSynch,
-    Verdict,
-    build_weak_nontriviality,
-    check_trace,
-    impossibility_demo,
-    extended_model_demo,
-)
+from .trace import RunTrace, _dumps
+from .tvg import Edge, ScenarioError, TimeVaryingGraph, generate, normalize_edges
+from .verify import CHECK_NAMES, CheckResult, Verdict, check_trace
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -207,8 +198,7 @@ class ScenarioConfig(NamedTuple):
 class ScenarioOutcome(NamedTuple):
     config: ScenarioConfig
     trace: RunTrace
-    extracted: ExtractedSynch | None
-    checks: Verdict
+    checks: Verdict  # carries the extracted history, None when extraction failed
     stats: dict
 
     @property
@@ -232,7 +222,7 @@ def execute_scenario(config: ScenarioConfig) -> ScenarioOutcome:
         "max_fairness_gap": checks.fairness.max_gap,
         "guard_checks": trace.footer.get("guard_checks"),
     }
-    return ScenarioOutcome(config, trace, checks.extracted, checks, stats)
+    return ScenarioOutcome(config, trace, checks, stats)
 
 
 def render_report(outcome: ScenarioOutcome) -> str:
@@ -260,12 +250,13 @@ def history_document(outcome: ScenarioOutcome) -> dict:
         "n": outcome.config.n,
         "delta": outcome.config.delta,
     }
-    if outcome.extracted is None:
+    extracted = outcome.checks.extracted
+    if extracted is None:
         doc["error"] = outcome.checks[0].detail  # the failed extraction's
     else:
-        doc["phases"] = outcome.extracted.compared_phases
-        doc["completed"] = outcome.extracted.completed
-        doc["steps"] = [sorted(map(list, step)) for step in outcome.extracted.steps]
+        doc["phases"] = extracted.compared_phases
+        doc["completed"] = extracted.completed
+        doc["steps"] = [sorted(map(list, step)) for step in extracted.steps]
     return doc
 
 
@@ -341,6 +332,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     return finish(execute_scenario(config), Path(args.out), args.quiet)
 
 
+def build_weak_nontriviality(
+    n: int, delta: int, steps: Sequence[Sequence[Edge]]
+) -> tuple[TimeVaryingGraph, SchedulerPolicy]:
+    """Construct dynamics and a schedule under which the synchronizer commits
+    exactly the given edge history: each target set is held for three stages,
+    everyone acts on the first and third, only edge-incident nodes act on the
+    second. Every node finishes step i at the end of stage 3i+2."""
+    normalized = [normalize_edges(s) for s in steps]
+    stages: list[frozenset[Edge]] = []
+    script: list[tuple[int, ...]] = []
+    everyone = tuple(range(n))
+    for edges in normalized:
+        touched = tuple(sorted({w for e in edges for w in e}))
+        stages += [edges, edges, edges]
+        script += [everyone, touched, everyone]
+    graph = TimeVaryingGraph(n, delta, tuple(stages))
+    scheduler = SchedulerPolicy(kind="scripted", script=tuple(script))
+    return graph, scheduler
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
         raw = json.loads(Path(args.history).read_text(encoding="utf-8"))
@@ -378,7 +389,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     outcome = execute_scenario(config)
     want = [normalize_edges(s) for s in steps]
-    got = outcome.extracted.steps if outcome.extracted else []
+    got = outcome.checks.extracted.steps if outcome.checks.extracted else []
     round_trip = list(got[: len(want)]) == want and len(got) >= len(want)
     outcome.checks.append(
         CheckResult(

@@ -9,18 +9,16 @@ import pytest
 
 from conftest import brute_force_run, random_edge_sets
 from dynsync.algorithms import make_algorithm, reference_run
-from dynsync.cli import EXIT_OK, main
+from dynsync.cli import EXIT_OK, build_weak_nontriviality, main
+from dynsync.demo import extended_model_demo, impossibility_demo
 from dynsync.engine import SchedulerPolicy, run
 from dynsync.tvg import TimeVaryingGraph, generate
 from dynsync.verify import (
-    build_weak_nontriviality,
     check_correctness,
     check_liveness,
     check_sandwich,
     check_strong_nontriviality,
-    extended_model_demo,
     extract_H,
-    impossibility_demo,
 )
 
 FLEET_SIZE = 50

@@ -20,8 +20,8 @@ from dynsync.cli import (
     load_config,
     main,
 )
-from dynsync.engine import RunTrace
 from dynsync.synchronizer import handshake
+from dynsync.trace import RunTrace
 from dynsync.tvg import ScenarioError
 from dynsync.verify import check_trace
 

@@ -7,15 +7,9 @@ from hypothesis import strategies as st
 
 from dynsync.algorithms import make_algorithm
 from dynsync.cli import bundled_scenarios, execute_scenario, load_config
-from dynsync.engine import (
-    InternalInvariantError,
-    RunTrace,
-    SchedulerPolicy,
-    _dumps,
-    fairness_audit,
-    run,
-)
+from dynsync.engine import InternalInvariantError, SchedulerPolicy, run
 from dynsync.synchronizer import handshake
+from dynsync.trace import RunTrace, _dumps, fairness_audit
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
 from dynsync.verify import (
     check_correctness,

@@ -8,7 +8,9 @@ import re
 import pytest
 
 from dynsync.algorithms import make_algorithm
-from dynsync.engine import RunTrace, SchedulerPolicy, TraceIndex, fairness_audit, run
+from dynsync.cli import load_config
+from dynsync.engine import SchedulerPolicy, run
+from dynsync.trace import RunTrace, TraceIndex, fairness_audit
 from dynsync.tvg import ScenarioError, generate
 from dynsync.verify import (
     check_correctness,
@@ -531,7 +533,20 @@ def test_pulled_that_is_missing_or_not_a_list_is_named(value):
 SCHEDULER_KEYS = ("kind", "seed", "p_activate", "fairness_bound")
 
 
-@pytest.mark.parametrize("value", ["missing", None, [1], "all-active", *SCHEDULER_KEYS])
+# (key, value) settings of the trace's random-subset scheduler that no policy has
+BAD_SETTINGS = [
+    ("kind", "bogus"),
+    ("seed", None),
+    ("fairness_bound", 0),
+    ("fairness_bound", "1"),
+    ("fairness_bound", True),
+    ("p_activate", 2.0),
+]
+
+
+@pytest.mark.parametrize(
+    "value", ["missing", None, [1], "all-active", *SCHEDULER_KEYS, *BAD_SETTINGS]
+)
 def test_header_scheduler_that_is_not_a_policy_is_named(value):
     trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
@@ -541,6 +556,13 @@ def test_header_scheduler_that_is_not_a_policy_is_named(value):
     elif value in SCHEDULER_KEYS:
         del header["scheduler"][value]
         message = f"trace header: scheduler has no {value!r} key"
+    elif type(value) is tuple:
+        key, setting = value
+        header["scheduler"][key] = setting
+        # the header obeys the rule the policy's constructor applies
+        with pytest.raises(ScenarioError) as refused:
+            SchedulerPolicy(**header["scheduler"])
+        message = f"trace header: {refused.value}"
     else:
         header["scheduler"] = value
         message = f"trace header: scheduler must be an object, got {value!r}"
@@ -644,6 +666,7 @@ PHASE_EDITS = {
     [
         *[("stages", value) for value in ["missing", 79, 81, 80.0, "80"]],
         *[("final_phases", value) for value in ["missing", *PHASE_EDITS]],
+        *[("guard_checks", value) for value in ["missing", None, "x", True, 5]],
     ],
 )
 def test_footer_must_count_the_stages_and_each_nodes_executes(key, value):
@@ -661,6 +684,9 @@ def test_footer_must_count_the_stages_and_each_nodes_executes(key, value):
         footer[key] = value
     if key == "stages":
         message = f"trace footer: stages must be the horizon 80, got {value!r}"
+    elif key == "guard_checks":
+        # one guard evaluation per node per stage, 6 nodes by 80 stages
+        message = f"trace footer: guard_checks must be n·horizon 480, got {value!r}"
     else:
         message = f"trace footer: final_phases must be each node's executes {counts}, got {value!r}"
     assert_every_check_raises(encode(header, rows), algo, re.escape(message))
@@ -670,3 +696,18 @@ def test_trace_without_a_footer_is_named():
     trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     assert_every_check_raises(encode(header, rows[:-1]), algo, "trace has no footer")
+
+
+def test_init_handshake_without_a_port_map_is_a_failed_extraction():
+    # extraction alone reads port_map, and only when given the port assignment
+    config = load_config("churn_mesh")
+    graph = config.build_graph()
+    algo, inputs = config.build_algorithm()
+    trace = run(graph, config.build_scheduler(), algo, inputs=inputs)
+    first = next(ev for ev in trace.events if ev.get("branch") == "init")
+    del first["port_map"]
+    message = f"stage {first['t']}: init handshake of node {first['node']} has no port_map"
+    results = check_trace(trace, config.checks, graph.ports)
+    assert results[0] == ("extraction", False, message)
+    assert results.extracted is None
+    assert check_trace(trace, config.checks).extracted is not None

@@ -5,19 +5,18 @@ import pytest
 import dynsync.engine as engine_mod
 from conftest import random_edge_sets
 from dynsync.algorithms import make_algorithm
+from dynsync.cli import build_weak_nontriviality
+from dynsync.demo import extended_model_demo, impossibility_demo
 from dynsync.engine import SchedulerPolicy, run
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
 from dynsync.verify import (
     SymmetryViolation,
-    build_weak_nontriviality,
     check_correctness,
     check_liveness,
     check_pulled_consistency,
     check_sandwich,
     check_strong_nontriviality,
-    extended_model_demo,
     extract_H,
-    impossibility_demo,
 )
 
 
