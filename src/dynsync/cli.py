@@ -11,7 +11,6 @@ failed, 2 the config or arguments are invalid, 3 an internal invariant broke.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
@@ -20,7 +19,7 @@ from _blake2 import blake2b
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .algorithms import make_algorithm
 from .demo import CLASSIC_PROTOCOLS, HANDSHAKE_DEMO, extended_model_demo, impossibility_demo
@@ -29,6 +28,9 @@ from .synchronizer import ProtocolViolation
 from .trace import RunTrace, _dumps
 from .tvg import Edge, ScenarioError, TimeVaryingGraph, generate, normalize_edges
 from .verify import CHECK_NAMES, CheckResult, Verdict, check_trace
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -313,9 +315,9 @@ def load_config(ref: str, seed_override: int | None = None) -> ScenarioConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"config is not valid JSON: {exc}") from exc
-    if seed_override is not None:
-        raw = dict(raw)
-        raw["seed"] = seed_override
+    # a root that is not an object is left for from_dict to name
+    if seed_override is not None and isinstance(raw, dict):
+        raw = {**raw, "seed": seed_override}
     return ScenarioConfig.from_dict(raw, fallback_name=fallback)
 
 
@@ -448,6 +450,10 @@ def cmd_scenarios(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported where it is used, so that importing dynsync or loading a
+    # config does not load argparse and gettext
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dynsync",
         description="simulate and verify the handshake synchronizer on dynamic graphs",

@@ -110,23 +110,27 @@ class NodeState:
             self.algo_state,
         )
 
-    def waiting_ports(self) -> frozenset[int]:
-        return self.valid_ports - self.phase_drops
+
+def _guards(state: NodeState) -> tuple[bool, bool]:
+    """(handshake guard, execute guard). Both read one test: is every port
+    the node still waits on, valid_ports minus phase_drops, blocked?"""
+    waited_out = state.valid_ports - state.phase_drops <= state.blocked
+    return state.synch == 0 or not waited_out, state.synch == 1 and waited_out
 
 
 def guard_handshake(state: NodeState) -> bool:
-    return state.synch == 0 or not state.waiting_ports() <= state.blocked
+    return _guards(state)[0]
 
 
 def guard_execute(state: NodeState) -> bool:
-    return state.synch == 1 and state.waiting_ports() <= state.blocked
+    return _guards(state)[1]
 
 
 def enabled_action(state: NodeState) -> ActionKind:
     """The single enabled action. Guards depend only on stored state, never on
     the current topology, which is why a node is enabled under arbitrary
     dynamics."""
-    hs, ex = guard_handshake(state), guard_execute(state)
+    hs, ex = _guards(state)
     if hs == ex:
         raise ProtocolViolation(f"guards not complementary: handshake={hs} execute={ex}")
     return ActionKind.HANDSHAKE if hs else ActionKind.EXECUTE
@@ -262,14 +266,21 @@ def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
     Pulled views contribute only the fields consulted after the pulling
     stage: presence, phase, ack.
     """
-    phase = state.phase
+    phase, delta = state.phase, state.delta
     phase_bytes = phase.to_bytes(max(1, (phase.bit_length() + 7) // 8), "big")
-    body = bytearray([state.synch & 1, state.delta])
-    for port in range(state.delta):
-        view = state.pulled.get(port)
-        present, ack, pulled_phase = (0, 0, 0) if view is None else (1, view.ack, view.phase)
-        body += bytes((port in state.acked, port in state.blocked, present, ack))
-        body += pulled_phase.to_bytes(PHASE_BYTES, "big")
+    # port p's record is body[2 + 12p : 14 + 12p]: acked, blocked, present,
+    # pulled ack, pulled phase; ports outside 0..delta-1 have none
+    body = bytearray(2 + 12 * delta)
+    body[0], body[1] = state.synch & 1, delta
+    for offset, members in ((2, state.acked), (3, state.blocked)):
+        for port in members:
+            if 0 <= port < delta:
+                body[offset + 12 * port] = 1
+    for port, view in state.pulled.items():
+        if 0 <= port < delta:
+            at = 4 + 12 * port
+            body[at], body[at + 1] = 1, view.ack
+            body[at + 2 : at + 2 + PHASE_BYTES] = view.phase.to_bytes(PHASE_BYTES, "big")
     for members in (
         state.invalid_ports,
         state.valid_ports,

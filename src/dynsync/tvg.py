@@ -107,21 +107,29 @@ def generate(
     # the loop indexes degrees by node, so stage 0 is checked before it runs
     _validate_edge_set(stages[0], n, delta, 0)
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    draw = rng.random
     for _ in range(1, t_max):
-        prev = stages[-1]
-        kept = {e for e in sorted(prev) if rng.random() >= p_drop}
+        kept = [e for e in sorted(stages[-1]) if draw() >= p_drop]
         degree = [0] * n
         for u, v in kept:
             degree[u] += 1
             degree[v] += 1
-        for u, v in all_pairs:
-            if (u, v) in kept:
-                continue
-            if rng.random() < p_add and degree[u] < delta and degree[v] < delta:
-                kept.add((u, v))
-                degree[u] += 1
-                degree[v] += 1
-        stages.append(frozenset(kept))
+        # The non-edges are the runs of all_pairs between kept edges, found
+        # by position: (u, v) sits at u*n - u*(u+1)/2 + v - u - 1. Scanning
+        # the runs draws the same coins as testing every pair for membership,
+        # without building and hashing a tuple per pair.
+        added: list[Edge] = []
+        start = 0
+        for end in [u * n - u * (u + 1) // 2 + v - u - 1 for u, v in kept] + [len(all_pairs)]:
+            for u, v in all_pairs[start:end]:
+                if draw() < p_add and degree[u] < delta and degree[v] < delta:
+                    added.append((u, v))
+                    degree[u] += 1
+                    degree[v] += 1
+            start = end + 1
+        # a frozenset copied from a set gets a table sized to its contents,
+        # one built from a list can get one twice as large
+        stages.append(frozenset(set(kept + added)))
     return TimeVaryingGraph(n, delta, tuple(stages))
 
 

@@ -194,6 +194,18 @@ class TestRunCommand:
         path.write_text("{not json")
         assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
 
+    @pytest.mark.parametrize("root", ["list", "pairs"])
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+    def test_config_root_that_is_not_an_object_exits_config_invalid(
+        self, tmp_path, capsys, root, seed
+    ):
+        # the pairs are a valid config's items, which dict() would accept
+        path = write_config(tmp_path)
+        pairs = list(json.loads(path.read_text()).items())
+        path.write_text(json.dumps([1, 2] if root == "list" else pairs))
+        assert main(["run", str(path), "--out", str(tmp_path), *seed]) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == "config error: config root must be an object\n"
+
     def test_unknown_check_selection_exits_config_invalid(self, tmp_path):
         path = write_config(tmp_path)
         code = main(["run", str(path), "--out", str(tmp_path), "--checks", "vibes"])

@@ -3,7 +3,9 @@ among it: its import pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and with the code it generates per class it was about half of
 every invocation's set-up time. Nor is ``hashlib``: it always loads
 ``_hashlib``, OpenSSL's library, first, and dynsync's one hash, BLAKE2b,
-comes from ``_blake2``, where ``hashlib.blake2b`` comes from too."""
+comes from ``_blake2``, where ``hashlib.blake2b`` comes from too. Nor is
+``argparse``, with the ``gettext`` it loads: only the command line's parser
+uses it, so a library import or a config load does not pay for it."""
 import hashlib
 import subprocess
 import sys
@@ -41,6 +43,11 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 def test_import_loads_neither_hashlib_nor_openssl():
     new = modules_loaded_by_import()
     assert not {"hashlib", "_hashlib"} & set(new), f"importing dynsync loaded {new}"
+
+
+def test_import_loads_neither_argparse_nor_gettext():
+    new = modules_loaded_by_import()
+    assert not {"argparse", "gettext"} & set(new), f"importing dynsync loaded {new}"
 
 
 def test_blake2b_is_hashlibs():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from dynsync.algorithms import CounterAlgo
 from dynsync.synchronizer import (
+    PHASE_BYTES,
     ActionKind,
     NodeState,
     ProtocolViolation,
@@ -342,3 +343,52 @@ class TestSerialization:
         assert len(body) <= 16 * delta + 6
         # phase.bit_length() equals ceil(log2(phase + 1)) for every phase >= 0
         assert 8 * len(phase_bytes) <= phase.bit_length() + 8
+
+
+def reference_serialize(state):
+    """The footprint encoding built port by port: for each port in 0..delta-1
+    its acked and blocked bits, whether a view is pulled, and the view's ack
+    and phase, then the four sets as sorted lists."""
+    phase = state.phase
+    phase_bytes = phase.to_bytes(max(1, (phase.bit_length() + 7) // 8), "big")
+    body = bytearray([state.synch & 1, state.delta])
+    for port in range(state.delta):
+        view = state.pulled.get(port)
+        present, ack, pulled_phase = (0, 0, 0) if view is None else (1, view.ack, view.phase)
+        body += bytes((port in state.acked, port in state.blocked, present, ack))
+        body += pulled_phase.to_bytes(PHASE_BYTES, "big")
+    for members in (
+        state.invalid_ports,
+        state.valid_ports,
+        state.phase_drops,
+        state.committed_ports,
+    ):
+        ordered = sorted(members)
+        body.append(len(ordered))
+        body += bytes(ordered)
+    return phase_bytes, bytes(body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta=st.integers(1, 6), phase=st.integers(0, 2**64 - 1), data=st.data())
+def test_property_serialization_equals_the_per_port_reference(delta, phase, data):
+    """Equal bytes for any state: acked and blocked members and pulled views
+    at ports outside 0..delta-1, which both encoders ignore, pulled phases up
+    to 2**64 - 1, and the emptied state an execute leaves, which is the one
+    ``run`` serializes."""
+    any_port = st.integers(-3, delta + 2)
+    ports = st.frozensets(st.integers(0, delta - 1))
+    s = NodeState(delta, synch=data.draw(st.integers(0, 1)), phase=phase, algo_state=0)
+    s.acked = data.draw(st.frozensets(any_port))
+    s.blocked = data.draw(st.frozensets(any_port))
+    s.invalid_ports, s.valid_ports = data.draw(ports), data.draw(ports)
+    s.phase_drops, s.committed_ports = data.draw(ports), data.draw(ports)
+    views = st.builds(view, phase=st.integers(0, 2**64 - 1), ack=st.integers(0, 1))
+    s.pulled = data.draw(st.dictionaries(any_port, views))
+    assert serialize_sync_state(s) == reference_serialize(s)
+    # execute feeds the step the views behind the blocked valid ports
+    for port in s.valid_ports & s.blocked:
+        s.pulled.setdefault(port, view(phase=phase))
+    after, _ = execute_synch(s, CounterAlgo())
+    assert not (after.acked or after.blocked or after.pulled)
+    assert serialize_sync_state(after) == reference_serialize(after)

@@ -95,6 +95,76 @@ class TestGenerate:
             generate(2, 1, 5, seed=0, p_drop=1.5, p_add=0.0)
 
 
+def reference_generate(n, delta, t_max, *, seed, p_drop, p_add, initial=()):
+    """The stages of ``generate`` as its docstring states them: one coin per
+    edge of the stage before, in sorted order, for the drops, then every pair
+    tested for membership and one coin per non-edge, in sorted order, for the
+    adds."""
+    rng = random.Random(seed)
+    stages = [normalize_edges(initial)]
+    for _ in range(1, t_max):
+        kept = {e for e in sorted(stages[-1]) if rng.random() >= p_drop}
+        degree = [0] * n
+        for u, v in kept:
+            degree[u] += 1
+            degree[v] += 1
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) in kept:
+                    continue
+                if rng.random() < p_add and degree[u] < delta and degree[v] < delta:
+                    kept.add((u, v))
+                    degree[u] += 1
+                    degree[v] += 1
+        stages.append(frozenset(kept))
+    return tuple(stages)
+
+
+def valid_initial(data, n, delta):
+    """A drawn edge set within the degree bound, some pairs given as (v, u)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    degree = [0] * n
+    initial = []
+    for u, v in chosen:
+        if degree[u] < delta and degree[v] < delta:
+            degree[u] += 1
+            degree[v] += 1
+            initial.append([v, u] if data.draw(st.booleans()) else [u, v])
+    return initial
+
+
+PROBABILITY = st.one_of(st.sampled_from([0, 1]), st.floats(0.0, 1.0))
+
+
+class TestGenerateReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        delta=st.integers(1, 4),
+        t_max=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+        p_drop=PROBABILITY,
+        p_add=PROBABILITY,
+        data=st.data(),
+    )
+    def test_property_equals_the_per_pair_reference(
+        self, n, delta, t_max, seed, p_drop, p_add, data
+    ):
+        initial = valid_initial(data, n, delta)
+        args = dict(seed=seed, p_drop=p_drop, p_add=p_add, initial=initial)
+        assert generate(n, delta, t_max, **args).stages == reference_generate(
+            n, delta, t_max, **args
+        )
+
+    def test_churn_wide_size_equals_the_reference(self):
+        initial = random_edge_sets(random.Random(64), 64, 4, 1)[0]
+        args = dict(seed=17, p_drop=0.2, p_add=0.2, initial=initial)
+        g = generate(64, 4, 100, **args)
+        assert g.stages == reference_generate(64, 4, 100, **args)
+        assert len(set(g.stages)) == 100  # every stage differs from the others
+
+
 class TestPorts:
     def test_graph_builds_its_ports_once(self):
         g = churn(seed=5, t_max=30)
