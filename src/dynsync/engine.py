@@ -1,13 +1,15 @@
 """Semi-synchronous execution engine.
 
 ``SchedulerPolicy`` computes the schedule, every stage's activation set,
-before the first stage, and ``run`` drives the synchronizer through it. Each
-stage: apply the stage's edge set and fold boundary disconnections into the
-per-node detectors, evaluate every activated node's single enabled action
-against the stage-start snapshot (``pull_view`` builds each neighbor's),
-then land all local state replacements followed by all remote block writes
-(both are order-independent), and finally clear the detectors of the
-activated nodes.
+before the first stage. ``stage`` runs one stage on a ``Configuration``: fold
+the stage's disconnections into the per-node detectors, evaluate every
+node's single enabled action, run each activated node's against the
+stage-start snapshot (``pull_view`` builds each neighbor's), then land all
+local state replacements followed by all remote block writes (both are
+order-independent), and finally clear the detectors of the activated nodes.
+``run`` folds ``stage`` over a graph's stages, with each stage's ports from
+``tvg.port_step`` as ``graph.ports`` recorded them, and frames the events with
+a header and a footer.
 
 The engine owns all ground truth (node identities behind ports, presence
 intervals) and logs it into a ``RunTrace`` (``dynsync.trace``) for the
@@ -21,6 +23,7 @@ from typing import Any
 
 from .algorithms import SyncAlgorithm
 from .synchronizer import (
+    MAX_DELTA,
     ActionKind,
     NodeState,
     PulledView,
@@ -31,7 +34,7 @@ from .synchronizer import (
     serialize_sync_state,
 )
 from .trace import TRACE_SCHEMA, RunTrace, validate_scheduler
-from .tvg import ScenarioError, TimeVaryingGraph, disconnections_at
+from .tvg import Edge, ScenarioError, TimeVaryingGraph
 
 # perfbench/run.py::check_once and perfbench/spans.py's TIMED_FUNCTIONS read
 # the audit under this module's name; the tracer patches every name bound to it
@@ -119,6 +122,140 @@ def pull_view(
     )
 
 
+class Configuration:
+    """What a run carries from one stage to the next: per node, the
+    synchronizer state, the accumulated disconnection detector, and the port
+    map (port -> neighbor) of its last init handshake, which its next
+    execute's ``committed_map`` reads.
+
+    ``stage`` updates the three lists in place. It replaces detectors and
+    maps, never mutates them, but lands remote block writes on the states
+    themselves, so a snapshot that later stages leave alone is
+    ``Configuration([s.clone() for s in c.states], list(c.detectors),
+    list(c.last_init_map))``.
+    """
+
+    # a plain class: building a NamedTuple class would add about 0.1 ms to
+    # the start of every command
+    __slots__ = ("states", "detectors", "last_init_map")
+    states: list[NodeState]
+    # A detector is replaced, never mutated, so it is also the stage-start
+    # snapshot every pull and the node's own handshake read; an empty one is
+    # the shared _NO_DROPS.
+    detectors: list[frozenset[int]]
+    last_init_map: list[dict[int, int]]
+
+    def __init__(self, states, detectors, last_init_map) -> None:
+        self.states, self.detectors, self.last_init_map = states, detectors, last_init_map
+
+    @classmethod
+    def initial(
+        cls, n: int, delta: int, algo: SyncAlgorithm, inputs: list[Any] | None = None
+    ) -> "Configuration":
+        """Every node at phase 0 with the algorithm's initial state, no
+        disconnections and no init handshake yet."""
+        states = [
+            NodeState(delta, algo_state=algo.init(u, None if inputs is None else inputs[u]))
+            for u in range(n)
+        ]
+        return cls(states, [_NO_DROPS] * n, [{} for _ in range(n)])
+
+
+def stage(
+    config: Configuration,
+    t: int,
+    edges: frozenset[Edge],
+    maps: list[dict[int, int]],
+    inverse: list[dict[int, int]],
+    dropped: dict[int, tuple[int, ...]],
+    activated: list[int],
+    algo: SyncAlgorithm,
+) -> list[dict]:
+    """Run stage t on ``config``, in place, and return the stage's events:
+    the stage event, then one action event per activated node.
+
+    ``edges`` is the stage's edge set and ``maps``, ``inverse`` and
+    ``dropped`` are what ``tvg.port_step`` returns for it; ``activated`` is
+    the sorted list of nodes that act."""
+    states, detectors, last_init_map = config.states, config.detectors, config.last_init_map
+    for u, ports in dropped.items():
+        detectors[u] = detectors[u].union(ports)
+    events: list[dict] = [
+        {
+            "kind": "stage",
+            "t": t,
+            "edges": [list(e) for e in sorted(edges)],
+            "activated": activated,
+            "disconnects": [[u, list(ports)] for u, ports in dropped.items()],
+        }
+    ]
+
+    # Guard complementarity is a model property, so it is checked for
+    # every node every stage, not just the activated ones.
+    kinds = [enabled_action(state) for state in states]
+
+    replacements: dict[int, NodeState] = {}
+    writes: list[tuple[int, int]] = []  # (target node, target port)
+    for u in activated:
+        if kinds[u] is ActionKind.HANDSHAKE:
+            occupied = sorted(maps[u].items())
+            # port -> (neighbor, the neighbor's port back to u)
+            behind = {port: (v, inverse[v][u]) for port, v in occupied}
+            reads = {
+                port: pull_view(states[v], remote_port, detectors[v])
+                for port, (v, remote_port) in behind.items()
+            }
+            new_state, write_ports, log = handshake(states[u], reads, detectors[u])
+            for port in write_ports:
+                if port not in behind:
+                    raise InternalInvariantError(
+                        f"stage {t}: node {u} block-writes through dead port {port}"
+                    )
+                writes.append(behind[port])
+            event = {
+                "kind": "action",
+                "t": t,
+                "node": u,
+                "action": "handshake",
+                "phase": states[u].phase,
+                **log,
+            }
+            if log["branch"] == "init":
+                last_init_map[u] = dict(occupied)
+                event["port_map"] = [[p, v] for p, v in occupied]
+                event["valid"] = sorted(new_state.valid_ports)
+                event["invalid"] = sorted(new_state.invalid_ports)
+        else:
+            new_state, log = execute_synch(states[u], algo)
+            phase_bytes, body = serialize_sync_state(new_state)
+            event = {
+                "kind": "action",
+                "t": t,
+                "node": u,
+                "action": "execute",
+                "phase": states[u].phase,
+                "committed_map": [[p, last_init_map[u][p]] for p in log["committed"]],
+                "state": algo.serialize(new_state.algo_state).hex(),
+                "pulled": [
+                    [p, algo.serialize(states[u].pulled[p].algo_state).hex()]
+                    for p in log["committed"]
+                ],
+                "mem_phase": phase_bytes.hex(),
+                "mem_body": body.hex(),
+                **log,
+            }
+        replacements[u] = new_state
+        events.append(event)
+
+    for u, new_state in replacements.items():
+        states[u] = new_state
+    for v, port in writes:
+        apply_remote_block(states[v], port)
+    for u in activated:
+        detectors[u] = _NO_DROPS
+    return events
+
+
 def run(
     graph: TimeVaryingGraph,
     scheduler: SchedulerPolicy,
@@ -128,11 +265,15 @@ def run(
 ) -> RunTrace:
     """Execute the synchronizer for every stage of the graph's lifetime and
     return the trace."""
-    ports, horizon = graph.ports, graph.lifetime
-    n, delta = graph.n, graph.delta
+    horizon, n, delta = graph.lifetime, graph.n, graph.delta
     schedule = scheduler.schedule(n, horizon)
     if inputs is not None and len(inputs) != n:
         raise ScenarioError(f"got {len(inputs)} inputs for {n} nodes")
+    if delta > MAX_DELTA:
+        raise ScenarioError(
+            f"delta {delta} is over the limit of {MAX_DELTA}: "
+            "the memory footprint stores delta and each port in one byte"
+        )
 
     header = {
         "schema": TRACE_SCHEMA,
@@ -154,107 +295,17 @@ def run(
     if header_extra:
         header.update(header_extra)
 
+    config = Configuration.initial(n, delta, algo, inputs)
+    ports = graph.ports
     events: list[dict] = []
-    states = [
-        NodeState(delta, algo_state=algo.init(u, None if inputs is None else inputs[u]))
-        for u in range(n)
-    ]
-    # Each node's accumulated disconnection set. A set is replaced, never
-    # mutated, so it is also the stage-start snapshot every pull and the
-    # node's own handshake read; an empty one is the shared _NO_DROPS.
-    detectors: list[frozenset[int]] = [_NO_DROPS] * n
-    last_init_map: list[dict[int, int]] = [{} for _ in range(n)]
-    guard_checks = 0
-
-    for t, activated in enumerate(schedule):
-        edges = graph.edges_at(t)
-        newly_dropped = disconnections_at(graph, t)
-        for u in range(n):
-            if newly_dropped[u]:
-                detectors[u] = detectors[u] | newly_dropped[u]
-
-        events.append(
-            {
-                "kind": "stage",
-                "t": t,
-                "edges": [list(e) for e in sorted(edges)],
-                "activated": activated,
-                "disconnects": [
-                    [u, sorted(newly_dropped[u])] for u in range(n) if newly_dropped[u]
-                ],
-            }
-        )
-
-        # Guard complementarity is a model property, so it is checked for
-        # every node every stage, not just the activated ones.
-        kinds = [enabled_action(state) for state in states]
-        guard_checks += n
-
-        replacements: dict[int, NodeState] = {}
-        writes: list[tuple[int, int]] = []  # (target node, target port)
-        for u in activated:
-            if kinds[u] is ActionKind.HANDSHAKE:
-                occupied = sorted(ports.occupied(t, u).items())
-                # port -> (neighbor, the neighbor's port back to u)
-                behind = {port: (v, ports.port_of(t, v, u)) for port, v in occupied}
-                reads = {
-                    port: pull_view(states[v], remote_port, detectors[v])
-                    for port, (v, remote_port) in behind.items()
-                }
-                new_state, write_ports, log = handshake(states[u], reads, detectors[u])
-                for port in write_ports:
-                    if port not in behind:
-                        raise InternalInvariantError(
-                            f"stage {t}: node {u} block-writes through dead port {port}"
-                        )
-                    writes.append(behind[port])
-                event = {
-                    "kind": "action",
-                    "t": t,
-                    "node": u,
-                    "action": "handshake",
-                    "phase": states[u].phase,
-                    **log,
-                }
-                if log["branch"] == "init":
-                    last_init_map[u] = dict(occupied)
-                    event["port_map"] = [[p, v] for p, v in occupied]
-                    event["valid"] = sorted(new_state.valid_ports)
-                    event["invalid"] = sorted(new_state.invalid_ports)
-            else:
-                new_state, log = execute_synch(states[u], algo)
-                phase_bytes, body = serialize_sync_state(new_state)
-                event = {
-                    "kind": "action",
-                    "t": t,
-                    "node": u,
-                    "action": "execute",
-                    "phase": states[u].phase,
-                    "committed_map": [
-                        [p, last_init_map[u][p]] for p in log["committed"]
-                    ],
-                    "state": algo.serialize(new_state.algo_state).hex(),
-                    "pulled": [
-                        [p, algo.serialize(states[u].pulled[p].algo_state).hex()]
-                        for p in log["committed"]
-                    ],
-                    "mem_phase": phase_bytes.hex(),
-                    "mem_body": body.hex(),
-                    **log,
-                }
-            replacements[u] = new_state
-            events.append(event)
-
-        for u, new_state in replacements.items():
-            states[u] = new_state
-        for v, port in writes:
-            apply_remote_block(states[v], port)
-        for u in activated:
-            detectors[u] = _NO_DROPS
+    stages = zip(graph.stages, ports.by_stage, ports.inverse, ports.dropped, schedule)
+    for t, (edges, maps, inverse, dropped, activated) in enumerate(stages):
+        events += stage(config, t, edges, maps, inverse, dropped, activated, algo)
 
     footer = {
         "stages": horizon,
-        "guard_checks": guard_checks,
-        "final_phases": [states[u].phase for u in range(n)],
+        # stage evaluates every node's guards once per stage
+        "guard_checks": n * horizon,
+        "final_phases": [state.phase for state in config.states],
     }
     return RunTrace(header, events, footer)

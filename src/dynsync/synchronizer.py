@@ -111,26 +111,14 @@ class NodeState:
         )
 
 
-def _guards(state: NodeState) -> tuple[bool, bool]:
-    """(handshake guard, execute guard). Both read one test: is every port
-    the node still waits on, valid_ports minus phase_drops, blocked?"""
-    waited_out = state.valid_ports - state.phase_drops <= state.blocked
-    return state.synch == 0 or not waited_out, state.synch == 1 and waited_out
-
-
-def guard_handshake(state: NodeState) -> bool:
-    return _guards(state)[0]
-
-
-def guard_execute(state: NodeState) -> bool:
-    return _guards(state)[1]
-
-
 def enabled_action(state: NodeState) -> ActionKind:
     """The single enabled action. Guards depend only on stored state, never on
     the current topology, which is why a node is enabled under arbitrary
     dynamics."""
-    hs, ex = _guards(state)
+    # Both guards read one test: is every port the node still waits on,
+    # valid_ports minus phase_drops, blocked?
+    waited_out = state.valid_ports - state.phase_drops <= state.blocked
+    hs, ex = state.synch == 0 or not waited_out, state.synch == 1 and waited_out
     if hs == ex:
         raise ProtocolViolation(f"guards not complementary: handshake={hs} execute={ex}")
     return ActionKind.HANDSHAKE if hs else ActionKind.EXECUTE
@@ -255,6 +243,8 @@ def apply_remote_block(state: NodeState, port: int) -> None:
 
 
 PHASE_BYTES = 8  # fixed-width pulled-phase record in the canonical encoding
+# the canonical encoding stores delta, and each port index, in one byte
+MAX_DELTA = 255
 
 
 def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:

@@ -5,6 +5,11 @@ A graph is a per-stage sequence of undirected edge sets over nodes 0..n-1.
 Each node owns ``delta`` ports; an incident edge occupies one port and keeps
 it for as long as the edge persists. When an edge disappears and later
 reappears it may land on a different port.
+
+``port_step`` is the whole port rule for one stage: from the stage before's
+maps and edge set and this stage's edge set it gives this stage's maps and the
+ports each node lost, which are the stage's disconnections. ``assign_ports``
+folds it over a graph, and ``disconnections_at`` reads the drops it recorded.
 """
 from __future__ import annotations
 
@@ -135,8 +140,9 @@ def generate(
 
 class PortAssignment:
     """Ground-truth port maps: for every stage and node, which neighbor sits
-    behind each occupied port, and the inverse. Available to the engine and
-    verifiers only; node-local code never sees node identities.
+    behind each occupied port, and the inverse, plus the ports each node lost
+    at the stage's start. Available to the engine and verifiers only;
+    node-local code never sees node identities.
 
     A node whose edges did not change since the stage before shares that
     stage's map objects, so the maps are read-only."""
@@ -144,6 +150,7 @@ class PortAssignment:
     def __init__(self) -> None:
         self.by_stage: list[list[dict[int, int]]] = []
         self.inverse: list[list[dict[int, int]]] = []
+        self.dropped: list[dict[int, tuple[int, ...]]] = []
 
     def occupied(self, t: int, u: int) -> dict[int, int]:
         """port -> neighbor for node u at stage t."""
@@ -156,35 +163,60 @@ class PortAssignment:
             raise KeyError(f"stage {t}: node {u} has no port for {v}") from None
 
 
+def port_step(
+    maps: list[dict[int, int]],
+    inverse: list[dict[int, int]],
+    prev_edges: frozenset[Edge],
+    edges: frozenset[Edge],
+    delta: int,
+) -> tuple[list[dict[int, int]], list[dict[int, int]], dict[int, tuple[int, ...]]]:
+    """One stage of the port assignment. From the stage before's maps
+    (port -> neighbor per node), their inverses and its edge set, return
+    this stage's maps and inverses and the ports each node lost, as a dict
+    from node to sorted ports, in ascending node order, holding only the
+    nodes that lost one.
+
+    Persisting edges keep their ports. Vanished edges free theirs first, then
+    each new edge takes the lowest free port at each endpoint, new neighbors
+    in ascending index order. Only the endpoints of changed edges get new map
+    objects; the arguments are never mutated."""
+    gone, new = prev_edges - edges, edges - prev_edges
+    if not (gone or new):
+        return maps, inverse, {}
+    maps, inverse = maps.copy(), inverse.copy()
+    for u in {w for e in gone | new for w in e}:
+        maps[u], inverse[u] = dict(maps[u]), dict(inverse[u])
+    lost: dict[int, list[int]] = {}
+    for u, v in gone:
+        for a, b in ((u, v), (v, u)):
+            port = inverse[a].pop(b)
+            del maps[a][port]
+            lost.setdefault(a, []).append(port)
+    fresh: dict[int, list[int]] = {}
+    for u, v in new:
+        fresh.setdefault(u, []).append(v)
+        fresh.setdefault(v, []).append(u)
+    for u, neighbors in fresh.items():
+        free = [p for p in range(delta) if p not in maps[u]]
+        for w, port in zip(sorted(neighbors), free):
+            maps[u][port] = w
+            inverse[u][w] = port
+    # sorted tuples: a set per node per stage would cost the run's memory
+    return maps, inverse, {u: tuple(sorted(lost[u])) for u in sorted(lost)}
+
+
 def assign_ports(graph: TimeVaryingGraph) -> PortAssignment:
-    """Deterministic port assignment: persisting edges keep their ports; each
-    new edge takes the lowest free port at each endpoint, new neighbors
-    processed in ascending index order. Only the endpoints of edges that
-    appeared or vanished since the stage before get new maps."""
+    """The fold of ``port_step`` over the graph's stages, from empty maps
+    before stage 0, so that stage 0 loses no port."""
     assignment = PortAssignment()
-    occupied: list[dict[int, int]] = [{} for _ in range(graph.n)]
+    maps: list[dict[int, int]] = [{} for _ in range(graph.n)]
     inverse: list[dict[int, int]] = [{} for _ in range(graph.n)]
     prev: frozenset[Edge] = frozenset()
     for edges in graph.stages:
-        gone, new = prev - edges, edges - prev
-        if gone or new:
-            occupied, inverse = occupied.copy(), inverse.copy()
-            for u in {w for e in gone | new for w in e}:
-                occupied[u], inverse[u] = dict(occupied[u]), dict(inverse[u])
-            for u, v in gone:
-                del occupied[u][inverse[u].pop(v)]
-                del occupied[v][inverse[v].pop(u)]
-            fresh: dict[int, list[int]] = {}
-            for u, v in new:
-                fresh.setdefault(u, []).append(v)
-                fresh.setdefault(v, []).append(u)
-            for u, neighbors in fresh.items():
-                free = [p for p in range(graph.delta) if p not in occupied[u]]
-                for w, port in zip(sorted(neighbors), free):
-                    occupied[u][port] = w
-                    inverse[u][w] = port
-        assignment.by_stage.append(occupied)
+        maps, inverse, dropped = port_step(maps, inverse, prev, edges, graph.delta)
+        assignment.by_stage.append(maps)
         assignment.inverse.append(inverse)
+        assignment.dropped.append(dropped)
         prev = edges
     return assignment
 
@@ -192,11 +224,7 @@ def assign_ports(graph: TimeVaryingGraph) -> PortAssignment:
 def disconnections_at(graph: TimeVaryingGraph, t: int) -> list[set[int]]:
     """Per-node set of port indices whose edge was present at stage t-1 and is
     gone at stage t. Empty at t=0."""
-    out: list[set[int]] = [set() for _ in range(graph.n)]
-    if t == 0:
-        return out
-    ports = graph.ports
-    for u, v in graph.edges_at(t - 1) - graph.edges_at(t):
-        out[u].add(ports.port_of(t - 1, u, v))
-        out[v].add(ports.port_of(t - 1, v, u))
-    return out
+    if t < 0:
+        raise IndexError(t)
+    dropped = graph.ports.dropped[t]
+    return [set(dropped.get(u, ())) for u in range(graph.n)]

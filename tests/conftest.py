@@ -2,7 +2,8 @@
 
 ``brute_force_run`` is a from-scratch synchronous executor kept deliberately
 separate from the packaged reference runner so the two can cross-check each
-other. The builders below make small random-but-seeded fixtures.
+other, and ``reference_ports`` a from-scratch port assignment. The builders
+below make small random-but-seeded fixtures.
 """
 import random
 
@@ -45,3 +46,31 @@ def random_edge_sets(rng: random.Random, n: int, delta: int, k: int, p: float = 
                 degree[v] += 1
         sets.append(frozenset(chosen))
     return sets
+
+
+def reference_ports(graph):
+    """Port maps rebuilt for every node at every stage from the stage before:
+    persisting edges keep their ports, new neighbors in ascending order take
+    the lowest free ports."""
+    by_stage = []
+    prev = [{} for _ in range(graph.n)]
+    for t in range(graph.lifetime):
+        edges = graph.edges_at(t)
+        current = [{} for _ in range(graph.n)]
+        for u in range(graph.n):
+            for port, w in prev[u].items():
+                if edge(u, w) in edges:
+                    current[u][port] = w
+        neighbors = [[] for _ in range(graph.n)]
+        for a, b in edges:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        for u in range(graph.n):
+            held = set(current[u].values())
+            fresh = sorted(w for w in neighbors[u] if w not in held)
+            free = [p for p in range(graph.delta) if p not in current[u]]
+            for w, port in zip(fresh, free):
+                current[u][port] = w
+        by_stage.append(current)
+        prev = current
+    return by_stage

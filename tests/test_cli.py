@@ -206,6 +206,27 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(tmp_path), *seed]) == EXIT_CONFIG_INVALID
         assert capsys.readouterr().err == "config error: config root must be an object\n"
 
+    DELTA_LIMIT = (
+        "config error: delta 256 is over the limit of 255: "
+        "the memory footprint stores delta and each port in one byte\n"
+    )
+
+    def test_delta_over_one_byte_exits_config_invalid(self, tmp_path, capsys):
+        path = write_config(tmp_path, delta=256, horizon=4, checks={})
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == self.DELTA_LIMIT
+        assert not list(tmp_path.glob("*.trace.jsonl"))
+
+    def test_delta_over_one_byte_exits_config_invalid_in_synth(self, tmp_path, capsys):
+        history = tmp_path / "wide.json"
+        history.write_text(json.dumps({"n": 2, "delta": 256, "steps": [[[0, 1]]]}))
+        assert main(["synth", str(history), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == self.DELTA_LIMIT
+
+    def test_delta_of_one_byte_still_runs(self, tmp_path):
+        path = write_config(tmp_path, delta=255)
+        assert main(["run", str(path), "--out", str(tmp_path), "-q"]) == EXIT_OK
+
     def test_unknown_check_selection_exits_config_invalid(self, tmp_path):
         path = write_config(tmp_path)
         code = main(["run", str(path), "--out", str(tmp_path), "--checks", "vibes"])

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_edge_sets
 from dynsync.algorithms import make_algorithm
 from dynsync.cli import bundled_scenarios, execute_scenario, load_config
-from dynsync.engine import InternalInvariantError, SchedulerPolicy, run
+from dynsync.engine import Configuration, InternalInvariantError, SchedulerPolicy, run, stage
 from dynsync.synchronizer import handshake
 from dynsync.trace import RunTrace, _dumps, fairness_audit
-from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
+from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate, port_step
 from dynsync.verify import (
     check_correctness,
     check_liveness,
@@ -337,6 +338,14 @@ class TestRunValidation:
         with pytest.raises(ScenarioError):
             run(g, SchedulerPolicy(kind="all-active"), make_algorithm("max-flood"), inputs=[1, 2])
 
+    def test_delta_over_one_byte_rejected(self):
+        g = TimeVaryingGraph(2, 256, (frozenset({(0, 1)}),) * 4)
+        with pytest.raises(ScenarioError, match="delta 256 is over the limit of 255"):
+            run(g, SchedulerPolicy(kind="all-active"), make_algorithm("counter"))
+        g = TimeVaryingGraph(2, 255, (frozenset({(0, 1)}),) * 4)
+        trace = run(g, SchedulerPolicy(kind="all-active"), make_algorithm("counter"))
+        assert trace.footer["final_phases"] == [1, 1]
+
     def test_block_write_through_an_unoccupied_port_is_an_internal_error(self, monkeypatch):
         def dead_port_handshake(state, reads, detector):
             new, _, log = handshake(state, reads, detector)
@@ -379,3 +388,46 @@ def test_property_random_runs_complete_with_monotone_min_phase(seed):
     starts = trace.index.phase_starts
     assert all(a < b for a, b in zip(starts, starts[1:]))
     assert trace.footer["final_phases"] == [len(events) for events in trace.index.executes]
+
+
+def snapshot(config):
+    """The copy recipe of ``Configuration``'s docstring."""
+    return Configuration(
+        [s.clone() for s in config.states], list(config.detectors), list(config.last_init_map)
+    )
+
+
+def test_stage_folded_over_port_step_and_resumed_from_a_snapshot_equals_run():
+    """``port_step`` folded by hand feeds ``stage`` the events ``run`` gives,
+    and a snapshot taken before a drawn stage k, continued beside the
+    original, gives run's events from stage k on."""
+    rng = random.Random(18)
+    for i in range(200):
+        n, delta = rng.randint(1, 9), rng.randint(1, 4)
+        churn = dict(p_drop=rng.random(), p_add=rng.random())
+        initial = random_edge_sets(rng, n, delta, 1, p=0.6)[0]
+        graph = generate(n, delta, rng.randint(1, 30), seed=i, initial=initial, **churn)
+        scheduler = SchedulerPolicy(
+            kind="random-subset", seed=i, p_activate=rng.random(), fairness_bound=rng.randint(1, 4)
+        )
+        algo = make_algorithm(rng.choice(["counter", "history-hash"]))
+        trace = run(graph, scheduler, algo)
+        schedule = scheduler.schedule(n, graph.lifetime)
+        k = rng.randrange(graph.lifetime)
+
+        config, resumed = Configuration.initial(n, delta, algo), None
+        maps, inverse = [{} for _ in range(n)], [{} for _ in range(n)]
+        prev, events, resumed_events = frozenset(), [], []
+        for t, edges in enumerate(graph.stages):
+            if t == k:
+                resumed = snapshot(config)
+            maps, inverse, dropped = port_step(maps, inverse, prev, edges, delta)
+            prev = edges
+            events += stage(config, t, edges, maps, inverse, dropped, schedule[t], algo)
+            if resumed is not None:
+                resumed_events += stage(resumed, t, edges, maps, inverse, dropped, schedule[t], algo)
+        assert events == trace.events
+        first = next(j for j, ev in enumerate(trace.events) if ev["t"] == k)
+        assert resumed_events == trace.events[first:]
+        final = trace.footer["final_phases"]
+        assert [s.phase for s in config.states] == [s.phase for s in resumed.states] == final

@@ -12,8 +12,6 @@ from dynsync.synchronizer import (
     apply_remote_block,
     enabled_action,
     execute_synch,
-    guard_execute,
-    guard_handshake,
     handshake,
     serialize_sync_state,
 )
@@ -48,6 +46,15 @@ def test_fresh_state_wants_a_handshake():
     assert enabled_action(s) is ActionKind.HANDSHAKE
 
 
+def docstring_guards(state):
+    """(handshake guard, execute guard) as the module docstring states them:
+    a node advances exactly when every port it still waits on (valid_ports
+    minus phase_drops) is blocked, so it handshakes while synch is 0 or some
+    waited port is unblocked, and executes when synch is 1 and none is."""
+    waited_out = all(p in state.blocked for p in state.valid_ports if p not in state.phase_drops)
+    return state.synch == 0 or not waited_out, state.synch == 1 and waited_out
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     synch=st.integers(0, 1),
@@ -56,7 +63,8 @@ def test_fresh_state_wants_a_handshake():
 )
 def test_property_exactly_one_action_enabled(synch, delta, data):
     """For every reachable flag combination the two guards disagree, so the
-    node always has exactly one action available."""
+    node always has exactly one action available, and it is the one whose
+    guard holds."""
     ports = st.sets(st.integers(0, delta - 1))
     valid = data.draw(ports)
     drops = data.draw(ports)
@@ -66,16 +74,17 @@ def test_property_exactly_one_action_enabled(synch, delta, data):
     s.valid_ports = frozenset(valid)
     s.phase_drops = frozenset(drops)
     s.blocked = frozenset(blocked)
-    assert guard_handshake(s) != guard_execute(s)
-    enabled_action(s)  # must not raise
+    hs, ex = docstring_guards(s)
+    assert hs != ex
+    assert enabled_action(s) is (ActionKind.HANDSHAKE if hs else ActionKind.EXECUTE)
 
 
 @settings(max_examples=300, deadline=None)
 @given(synch=st.integers(0, 2), delta=st.integers(1, 5), data=st.data())
 def test_property_enabled_action_is_the_guard_that_holds(synch, delta, data):
-    """``enabled_action`` names the one of ``guard_handshake`` and
-    ``guard_execute`` that holds, and raises when they agree (only a synch
-    value other than 0 or 1 makes them agree)."""
+    """``enabled_action`` names the one of the docstring's two guards that
+    holds, and raises when they agree (only a synch value other than 0 or 1
+    makes them agree)."""
     ports = st.sets(st.integers(0, delta - 1))
     s = NodeState(delta, algo_state=0)
     s.synch = synch
@@ -83,7 +92,7 @@ def test_property_enabled_action_is_the_guard_that_holds(synch, delta, data):
     s.phase_drops = frozenset(data.draw(ports))
     s.acked = frozenset(data.draw(ports))
     s.blocked = frozenset(data.draw(ports))
-    hs, ex = guard_handshake(s), guard_execute(s)
+    hs, ex = docstring_guards(s)
     if hs == ex:
         with pytest.raises(ProtocolViolation, match="guards not complementary"):
             enabled_action(s)

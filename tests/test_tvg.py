@@ -1,10 +1,11 @@
+import copy
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_edge_sets
+from conftest import random_edge_sets, reference_ports
 from dynsync.cli import ScenarioConfig
 from dynsync.tvg import (
     ScenarioError,
@@ -14,6 +15,7 @@ from dynsync.tvg import (
     edge,
     generate,
     normalize_edges,
+    port_step,
 )
 
 
@@ -213,34 +215,6 @@ class TestPorts:
         assert ports.occupied(2, 0) == {0: 2}
 
 
-def reference_ports(graph):
-    """Port maps rebuilt for every node at every stage from the stage before:
-    persisting edges keep their ports, new neighbors in ascending order take
-    the lowest free ports."""
-    by_stage = []
-    prev = [{} for _ in range(graph.n)]
-    for t in range(graph.lifetime):
-        edges = graph.edges_at(t)
-        current = [{} for _ in range(graph.n)]
-        for u in range(graph.n):
-            for port, w in prev[u].items():
-                if edge(u, w) in edges:
-                    current[u][port] = w
-        neighbors = [[] for _ in range(graph.n)]
-        for a, b in edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        for u in range(graph.n):
-            held = set(current[u].values())
-            fresh = sorted(w for w in neighbors[u] if w not in held)
-            free = [p for p in range(graph.delta) if p not in current[u]]
-            for w, port in zip(fresh, free):
-                current[u][port] = w
-        by_stage.append(current)
-        prev = current
-    return by_stage
-
-
 @pytest.fixture(scope="module")
 def seeded_graphs():
     """200 seeded churn graphs: n from 1, delta from 1, and each of p_drop
@@ -281,15 +255,36 @@ class TestIncrementalPorts:
                             assert info.value.args == (f"stage {t}: node {u} has no port for {v}",)
 
     def test_disconnections_equal_their_definition(self, seeded_graphs):
-        # ports whose edge was present at t-1 and is gone at t
+        # ports whose edge was present at t-1 and is gone at t, both as
+        # disconnections_at gives them and as the fold recorded them: sorted
+        # tuples, only for the nodes that lost a port, in node order
         for g in seeded_graphs:
             reference = reference_ports(g)
             assert disconnections_at(g, 0) == [set() for _ in range(g.n)]
+            assert g.ports.dropped[0] == {}
             for t in range(1, g.lifetime):
-                assert disconnections_at(g, t) == [
+                want = [
                     {p for p, w in reference[t - 1][u].items() if edge(u, w) not in g.edges_at(t)}
                     for u in range(g.n)
                 ]
+                assert disconnections_at(g, t) == want
+                recorded = g.ports.dropped[t]
+                assert recorded == {u: tuple(sorted(ports)) for u, ports in enumerate(want) if ports}
+                assert list(recorded) == sorted(recorded)
+            assert len(g.ports.dropped) == g.lifetime
+
+    def test_the_fold_of_port_step_is_the_assignment_and_leaves_its_inputs(self, seeded_graphs):
+        for g in seeded_graphs:
+            maps, inverse = [{} for _ in range(g.n)], [{} for _ in range(g.n)]
+            prev, before = frozenset(), copy.deepcopy((maps, inverse))
+            for t, edges in enumerate(g.stages):
+                step = port_step(maps, inverse, prev, edges, g.delta)
+                assert (maps, inverse) == before
+                maps, inverse, dropped = step
+                before, prev = copy.deepcopy((maps, inverse)), edges
+                assert (maps, inverse, dropped) == (
+                    g.ports.by_stage[t], g.ports.inverse[t], g.ports.dropped[t]
+                )
 
     def test_static_graph_holds_one_map_per_node(self):
         edges = frozenset({(0, 1), (1, 2), (0, 3)})
