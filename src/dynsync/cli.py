@@ -18,6 +18,7 @@ import sys
 from _blake2 import blake2b
 from functools import partial
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
@@ -270,7 +271,11 @@ def write_artifacts(outcome: ScenarioOutcome, out_dir: Path, report: str) -> dic
         "history": out_dir / f"{base}.h.json",
         "report": out_dir / f"{base}.report.txt",
     }
-    paths["trace"].write_bytes(outcome.trace.to_jsonl())
+    with paths["trace"].open("wb") as f:
+        lines = outcome.trace.lines()
+        # written in batches of lines: a write call per line slows the run
+        while batch := "".join(islice(lines, 256)):
+            f.write(batch.encode())
     paths["history"].write_text(_dumps(history_document(outcome)) + "\n", encoding="utf-8")
     paths["report"].write_text(report, encoding="utf-8")
     return paths
@@ -384,12 +389,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         checks={"correctness": True, "strong-nontriviality": True, "liveness": len(steps)},
     )
     config.validate()
+    outcome = execute_scenario(config)
+    # written only for a run that finished, so a rejected history leaves no config
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_path = out_dir / f"{name}.scenario.json"
     config_path.write_text(_dumps(config._asdict()) + "\n", encoding="utf-8")
-
-    outcome = execute_scenario(config)
     want = [normalize_edges(s) for s in steps]
     got = outcome.checks.extracted.steps if outcome.checks.extracted else []
     round_trip = list(got[: len(want)]) == want and len(got) >= len(want)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 from bisect import bisect_left
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .tvg import ScenarioError
 
@@ -71,8 +71,125 @@ def _dumps(obj: Any) -> str:
     return "".join(_encode(obj, 0))
 
 
+def _line(obj: Any) -> str:
+    """One trace line: ``obj`` as ``_dumps`` writes it, and a newline."""
+    chunks = _encode(obj, 0)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
 # the C scanner json.loads runs; it parses one JSON value from an offset
 _scan = json.JSONDecoder().scan_once
+
+# A trace is parsed in blocks of whole lines of about this many bytes.
+BLOCK_BYTES = 1 << 16
+
+# The block scan writes NaN between lines and reads it as this marker, so
+# that a line end stays visible in the scanned array; a trace that writes
+# NaN itself is parsed line by line.
+_LINE_END = object()
+_scan_block = json.JSONDecoder(
+    parse_constant={
+        "NaN": _LINE_END, "Infinity": json.decoder.PosInf, "-Infinity": json.decoder.NegInf,
+    }.__getitem__
+).scan_once
+
+
+def _rows_by_block(data: bytes) -> list | None:
+    """Every line's JSON value, in order, when every block of lines scans
+    as one array of one value per line; else None. Each block is decoded and
+    scanned by itself, so the values of a block share their key strings.
+
+    The input must be ASCII with no ``\\r``, so that every line break
+    ``str.splitlines`` honours but ``\\n`` fails the scan, and hold no
+    ``NaN``, so that every line-end marker is one this scan wrote. Then a
+    block is taken when its top level alternates values and markers, one
+    value per line: a blank line fails the scan, and a line that is not one
+    whole value either fails it or leaves a marker inside a value or string
+    that runs on into the next line."""
+    if not data.isascii() or b"\r" in data or b"NaN" in data:
+        return None
+    rows: list = []
+    start, size = 0, len(data)
+    with memoryview(data) as view:
+        while start < size:
+            end = data.rfind(b"\n", start, start + BLOCK_BYTES)
+            if end < 0:  # no line ends in the window: take the line whole
+                end = data.find(b"\n", start + BLOCK_BYTES)
+                end = size if end < 0 else end
+            lines = data.count(b"\n", start, end) + 1
+            text = str(view[start:end], "ascii").replace("\n", ",NaN,")
+            text = f"[{text}]"
+            start = end + 1
+            try:
+                values, stop = _scan_block(text, 0)
+            except (StopIteration, ValueError, RecursionError):
+                return None
+            if (
+                stop != len(text)
+                or len(values) != 2 * lines - 1
+                or values.count(_LINE_END) != lines - 1
+            ):
+                return None
+            rows += values[::2]
+    return rows
+
+
+def _rows_by_line(data: bytes) -> Iterator[tuple[int, Any]]:
+    """Each non-empty line's number and value: what ``json.loads`` gives
+    for the line. A line it rejects is a named error."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"trace is not UTF-8: {exc}") from None
+    for k, line in enumerate(text.splitlines(), 1):
+        if not line:
+            continue
+        try:
+            row, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            # not one whole value from the first character: json.loads
+            # either accepts the line (say, padded with spaces) or says
+            # what is wrong with it
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ScenarioError(f"trace line {k}: {exc}") from None
+        yield k, row
+
+
+def _place(rows: Iterable[tuple[int, Any]]) -> tuple[dict, list[dict], dict]:
+    """The header, events and footer of numbered rows: each an object, the
+    header first, and the footer, if any, last. The first row that breaks
+    the rule is named, so errors that the rows raise as they are read come
+    in line order with these."""
+    header: dict | None = None
+    events: list[dict] = []
+    footer: dict = {}
+    ended = False
+    for k, row in rows:
+        if type(row) is not dict:
+            got = type(row).__name__
+            raise ScenarioError(f"trace line {k}: expected a JSON object, got {got}")
+        kind = row.get("kind")
+        if header is None:
+            if kind != "header":
+                raise ScenarioError("trace does not start with a header line")
+            header = {key: v for key, v in row.items() if key != "kind"}
+        elif ended:
+            raise ScenarioError(f"trace line {k}: line after the footer")
+        elif kind == "footer":
+            footer = {key: v for key, v in row.items() if key != "kind"}
+            ended = True
+        elif kind == "header":
+            raise ScenarioError(f"trace line {k}: second header line")
+        else:
+            events.append(row)
+    if header is None:
+        raise ScenarioError("trace does not start with a header line")
+    return header, events, footer
 
 
 def _not_an_int(i: int, key: str, value: Any) -> ScenarioError:
@@ -220,61 +337,34 @@ class RunTrace:
 
     # -- serialization ----------------------------------------------------
 
-    def to_jsonl(self) -> bytes:
-        lines = [_dumps({"kind": "header", **self.header})]
-        lines += [_dumps(ev) for ev in self.events]
+    def lines(self) -> Iterator[str]:
+        """The trace's lines, each with its newline and all ASCII: the
+        header, the events, and the footer when there is one."""
+        yield _line({"kind": "header", **self.header})
+        yield from map(_line, self.events)
         if self.footer:
-            lines.append(_dumps({"kind": "footer", **self.footer}))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+            yield _line({"kind": "footer", **self.footer})
+
+    def to_jsonl(self) -> bytes:
+        """The whole trace as bytes: its lines, joined."""
+        return "".join(self.lines()).encode()
 
     @classmethod
     def from_jsonl(cls, data: bytes) -> "RunTrace":
         """Parse a trace: one JSON object per non-empty line, the header
         first and an optional footer last. Each line decodes to what
-        ``json.loads`` gives for it, and a line it rejects is a named error."""
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"trace is not UTF-8: {exc}") from None
-        header: dict | None = None
-        events: list[dict] = []
-        footer: dict = {}
-        ended = False
-        for k, line in enumerate(text.splitlines(), 1):
-            if not line:
-                continue
-            try:
-                row, end = _scan(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end != len(line):
-                # not one whole value from the first character: json.loads
-                # either accepts the line (say, padded with spaces) or says
-                # what is wrong with it
-                try:
-                    row = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ScenarioError(f"trace line {k}: {exc}") from None
-            if type(row) is not dict:
-                got = type(row).__name__
-                raise ScenarioError(f"trace line {k}: expected a JSON object, got {got}")
-            kind = row.get("kind")
-            if header is None:
-                if kind != "header":
-                    raise ScenarioError("trace does not start with a header line")
-                header = {key: v for key, v in row.items() if key != "kind"}
-            elif ended:
-                raise ScenarioError(f"trace line {k}: line after the footer")
-            elif kind == "footer":
-                footer = {key: v for key, v in row.items() if key != "kind"}
-                ended = True
-            elif kind == "header":
-                raise ScenarioError(f"trace line {k}: second header line")
-            else:
-                events.append(row)
-        if header is None:
-            raise ScenarioError("trace does not start with a header line")
-        return cls(header, events, footer)
+        ``json.loads`` gives for it, and a line it rejects is a named error.
+
+        The input is scanned in blocks of whole lines, each block as one
+        JSON array, so that a block's events share their key strings and no
+        copy of the whole text is made. When some block cannot be taken
+        whole, the input is parsed line by line, which names a bad line by
+        its number. Blocks are taken only when each line holds one value,
+        so a row's position is its line number on both paths, and one rule
+        places the header and footer."""
+        rows = _rows_by_block(data)
+        numbered = _rows_by_line(data) if rows is None else enumerate(rows, 1)
+        return cls(*_place(numbered))
 
     # -- accessors ---------------------------------------------------------
 

@@ -451,6 +451,29 @@ class TestSynthCommand:
         h.write_text(json.dumps({"n": 3, "delta": 1, "steps": [[[0, 1], [1, 2]]]}))
         assert main(["synth", str(h), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
 
+    def test_history_the_run_rejects_writes_nothing(self, tmp_path, capsys):
+        h = tmp_path / "wide.json"
+        h.write_text(json.dumps({"n": 2, "delta": 256, "steps": [[[0, 1]]]}))
+        out = tmp_path / "out"
+        assert main(["synth", str(h), "--out", str(out)]) == EXIT_CONFIG_INVALID
+        assert "delta 256 is over the limit of 255" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_check_still_writes_the_config(self, tmp_path, monkeypatch):
+        build = dynsync.cli.build_weak_nontriviality
+        # the dynamics hold no edge, so the round trip fails
+        monkeypatch.setattr(
+            dynsync.cli,
+            "build_weak_nontriviality",
+            lambda n, delta, steps: build(n, delta, [[]] * len(steps)),
+        )
+        h = tmp_path / "single.json"
+        h.write_text(json.dumps({"n": 2, "delta": 1, "steps": [[[0, 1]]]}))
+        assert main(["synth", str(h), "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        assert "CHECK round-trip FAIL" in (tmp_path / "single-synth.report.txt").read_text()
+        scenario = json.loads((tmp_path / "single-synth.scenario.json").read_text())
+        assert scenario["dynamics"]["stages"] == [[]] * 3
+
     def test_missing_history_file(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
 

@@ -1,5 +1,8 @@
+import gc
+import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +13,7 @@ from dynsync.algorithms import make_algorithm
 from dynsync.cli import bundled_scenarios, execute_scenario, load_config
 from dynsync.engine import Configuration, InternalInvariantError, SchedulerPolicy, run, stage
 from dynsync.synchronizer import handshake
-from dynsync.trace import RunTrace, _dumps, fairness_audit
+from dynsync.trace import BLOCK_BYTES, RunTrace, _dumps, fairness_audit
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate, port_step
 from dynsync.verify import (
     check_correctness,
@@ -147,7 +150,8 @@ class TestTraceFormat:
     )
     def test_from_jsonl_is_json_loads_per_line(self, rows, layout):
         """Blank lines, CRLF endings, padded lines and either ASCII mode
-        parse line by line to what json.loads gives."""
+        parse line by line to what json.loads gives, also past the first
+        block."""
         lines = [json.dumps({"kind": "header", "n": 1})]
         for row in rows:
             raw = layout.draw(st.booleans(), label="raw non-ASCII")
@@ -157,6 +161,11 @@ class TestTraceFormat:
             lines.append(layout.draw(st.sampled_from([line, pad + line, line + pad])))
             if layout.draw(st.booleans(), label="blank line"):
                 lines.append("")
+        # a run of events, one or three blocks long, among the drawn rows
+        event = compact({"kind": "action", "t": 0, "state": "s" * 500})
+        blocks = layout.draw(st.sampled_from([0, 0, 1, 3]), label="filler blocks")
+        at = layout.draw(st.integers(1, len(lines)), label="filler at")
+        lines[at:at] = [event] * (blocks * BLOCK_BYTES // len(event))
         lines.append(json.dumps({"kind": "footer", "stages": 0}))
         text = layout.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
         trace = RunTrace.from_jsonl(text.encode())
@@ -183,6 +192,24 @@ class TestTraceFormat:
                 b"[" * 100_000, "trace line 3: maximum recursion depth exceeded", id="deep"
             ),
             pytest.param(b"9" * 5000, "trace line 3: Exceeds the limit", id="long-int"),
+            pytest.param(b'{"kind":"stage"},{}', "trace line 3: Extra data", id="two-objects"),
+            # str.splitlines also breaks a line at a raw U+2028, U+0085 or
+            # lone CR, so a string or object that holds one is never closed
+            pytest.param(
+                '{"state":"a\u2028b"}'.encode(), "trace line 3: Unterminated string", id="u2028"
+            ),
+            pytest.param(
+                '{"state":"a\x85b"}'.encode(), "trace line 3: Unterminated string", id="u0085"
+            ),
+            pytest.param(
+                b'{"t":0,\r"x":2}', "trace line 3: Expecting property name", id="lone-cr"
+            ),
+            # two lines that are one array or string only when joined
+            pytest.param(b'{"x":[1\n2]}, {}', "trace line 3: Expecting ',' delimiter", id="split-list"),
+            pytest.param(b'{"a":"x\ny"}, {}', "trace line 3: Unterminated string", id="split-string"),
+            pytest.param(
+                b'{"x":[1\n2]},NaN,{}', "trace line 3: Expecting ',' delimiter", id="split-nan"
+            ),
         ],
     )
     def test_malformed_line_is_named_with_its_number(self, line, message):
@@ -190,6 +217,13 @@ class TestTraceFormat:
         lines[2] = line
         with pytest.raises(ScenarioError, match=message):
             RunTrace.from_jsonl(b"\n".join(lines))
+
+    def test_lone_cr_and_nan_parse_as_json_loads_per_line(self):
+        header = b'{"kind":"header","n":1}\n'
+        trace = RunTrace.from_jsonl(header + b'{"t":1}\r{"t":2}\n{"t":3}\n')
+        assert trace.events == [{"t": 1}, {"t": 2}, {"t": 3}]
+        trace = RunTrace.from_jsonl(header + b'{"t":NaN,"s":"NaN"}\n{"t":3}\n')
+        assert compact(trace.events) == '[{"s":"NaN","t":NaN},{"t":3}]'
 
     def test_only_one_header(self):
         lines = static_run([(0, 1)], 2, 1, 4).to_jsonl().splitlines()
@@ -216,6 +250,66 @@ class TestTraceFormat:
         assert check_strong_nontriviality(trace, extracted).ok
         assert check_liveness(trace, 1).ok
         assert fairness_audit(trace).ok
+
+    @staticmethod
+    def churn_lines():
+        """The churn_mesh trace's lines, four blocks long, and the index of
+        the first line of its second block."""
+        lines = execute_scenario(load_config("churn_mesh")).trace.to_jsonl().splitlines()
+        ends = itertools.accumulate(len(line) + 1 for line in lines)
+        # the first block ends at the last line end before BLOCK_BYTES
+        second = next(j for j, end in enumerate(ends) if end > BLOCK_BYTES)
+        assert sum(map(len, lines)) > 3 * BLOCK_BYTES
+        return lines, second
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_header_footer_and_blank_line_at_a_block_boundary(self, shift):
+        lines, second = self.churn_lines()
+        at = second + shift
+        with pytest.raises(ScenarioError, match=f"trace line {at + 1}: second header line$"):
+            RunTrace.from_jsonl(b"\n".join([*lines[:at], lines[0], *lines[at:]]))
+        with pytest.raises(ScenarioError, match=f"trace line {at + 2}: line after the footer$"):
+            RunTrace.from_jsonl(b"\n".join([*lines[:at], lines[-1], *lines[at:]]))
+        blank = RunTrace.from_jsonl(b"\n".join([*lines[:at], b"", *lines[at:]]))
+        assert blank.to_jsonl() == b"\n".join(lines) + b"\n"
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_malformed_line_in_a_later_block_is_named_with_its_number(self, block):
+        lines, second = self.churn_lines()
+        at = block * second + 7
+        lines[at] = lines[at][:-1]
+        with pytest.raises(ScenarioError, match=f"trace line {at + 1}: Expecting ',' delimiter"):
+            RunTrace.from_jsonl(b"\n".join(lines))
+        lines[at] = b"[" + lines[at] + b"}]"
+        with pytest.raises(ScenarioError, match=f"trace line {at + 1}: expected a JSON object"):
+            RunTrace.from_jsonl(b"\n".join(lines))
+
+    def test_parse_peak_is_the_parsed_trace_and_blocks_share_key_strings(self):
+        """The parse keeps no whole-text copy: its peak is within 10 % of
+        what the parsed trace holds. A block's events share their keys."""
+        data = execute_scenario(load_config("churn_mesh")).trace.to_jsonl()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = RunTrace.from_jsonl(data)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * retained
+
+        def keys(value):
+            if type(value) is dict:
+                yield from value
+                value = list(value.values())
+            if type(value) is list:
+                for item in value:
+                    yield from keys(item)
+
+        held = {id(key): key for key in keys(trace.events)}
+        # every block but the last holds more than BLOCK_BYTES less one line
+        longest = max(map(len, data.splitlines())) + 1
+        blocks = 1 + len(data) // (BLOCK_BYTES - longest)
+        assert len(held) <= len(set(held.values())) * blocks
 
     def test_non_utf8_input_is_named(self):
         with pytest.raises(ScenarioError, match="trace is not UTF-8"):
