@@ -31,6 +31,7 @@ from .synchronizer import (
     enabled_action,
     execute_synch,
     handshake,
+    ports_of,
     serialize_sync_state,
 )
 from .trace import TRACE_SCHEMA, RunTrace, validate_scheduler
@@ -40,7 +41,7 @@ from .tvg import Edge, ScenarioError, TimeVaryingGraph
 # the audit under this module's name; the tracer patches every name bound to it
 from .trace import fairness_audit
 
-_NO_DROPS: frozenset[int] = frozenset()
+_NO_DROPS = 0
 
 
 class InternalInvariantError(RuntimeError):
@@ -105,16 +106,14 @@ class SchedulerPolicy:
         return stages
 
 
-def pull_view(
-    neighbor: NodeState, remote_port: int, neighbor_detector: frozenset[int]
-) -> PulledView:
+def pull_view(neighbor: NodeState, remote_port: int, neighbor_detector: int) -> PulledView:
     """Snapshot what the node behind a port exposes at stage start."""
     # positional, in field order: keywords double the cost of the build
     return PulledView(
         neighbor.phase,
         neighbor.synch,
         remote_port,
-        1 if remote_port in neighbor.acked else 0,
+        neighbor.acked >> remote_port & 1,
         neighbor.valid_ports,
         neighbor.phase_drops,
         neighbor_detector,
@@ -124,9 +123,11 @@ def pull_view(
 
 class Configuration:
     """What a run carries from one stage to the next: per node, the
-    synchronizer state, the accumulated disconnection detector, and the port
-    map (port -> neighbor) of its last init handshake, which its next
-    execute's ``committed_map`` reads.
+    synchronizer state, the accumulated disconnection detector (a word with
+    bit p set when port p lost its edge since the node last acted), and the
+    port map (port -> neighbor) of its last init handshake, which its next
+    execute's ``committed_map`` reads. That map is the read-only map object
+    ``stage`` was given for the node.
 
     ``stage`` updates the three lists in place. It replaces detectors and
     maps, never mutates them, but lands remote block writes on the states
@@ -139,10 +140,9 @@ class Configuration:
     # the start of every command
     __slots__ = ("states", "detectors", "last_init_map")
     states: list[NodeState]
-    # A detector is replaced, never mutated, so it is also the stage-start
-    # snapshot every pull and the node's own handshake read; an empty one is
-    # the shared _NO_DROPS.
-    detectors: list[frozenset[int]]
+    # A detector is an int, so it is also the stage-start snapshot every pull
+    # and the node's own handshake read; an empty one is _NO_DROPS.
+    detectors: list[int]
     last_init_map: list[dict[int, int]]
 
     def __init__(self, states, detectors, last_init_map) -> None:
@@ -179,7 +179,8 @@ def stage(
     the sorted list of nodes that act."""
     states, detectors, last_init_map = config.states, config.detectors, config.last_init_map
     for u, ports in dropped.items():
-        detectors[u] = detectors[u].union(ports)
+        for port in ports:
+            detectors[u] |= 1 << port
     events: list[dict] = [
         {
             "kind": "stage",
@@ -198,20 +199,19 @@ def stage(
     writes: list[tuple[int, int]] = []  # (target node, target port)
     for u in activated:
         if kinds[u] is ActionKind.HANDSHAKE:
-            occupied = sorted(maps[u].items())
-            # port -> (neighbor, the neighbor's port back to u)
-            behind = {port: (v, inverse[v][u]) for port, v in occupied}
+            occupied = maps[u]  # port -> neighbor
             reads = {
-                port: pull_view(states[v], remote_port, detectors[v])
-                for port, (v, remote_port) in behind.items()
+                port: pull_view(states[v], inverse[v][u], detectors[v])
+                for port, v in occupied.items()
             }
             new_state, write_ports, log = handshake(states[u], reads, detectors[u])
             for port in write_ports:
-                if port not in behind:
+                v = occupied.get(port)
+                if v is None:
                     raise InternalInvariantError(
                         f"stage {t}: node {u} block-writes through dead port {port}"
                     )
-                writes.append(behind[port])
+                writes.append((v, inverse[v][u]))
             event = {
                 "kind": "action",
                 "t": t,
@@ -221,10 +221,10 @@ def stage(
                 **log,
             }
             if log["branch"] == "init":
-                last_init_map[u] = dict(occupied)
-                event["port_map"] = [[p, v] for p, v in occupied]
-                event["valid"] = sorted(new_state.valid_ports)
-                event["invalid"] = sorted(new_state.invalid_ports)
+                last_init_map[u] = occupied
+                event["port_map"] = [[p, v] for p, v in sorted(occupied.items())]
+                event["valid"] = ports_of(new_state.valid_ports)
+                event["invalid"] = ports_of(new_state.invalid_ports)
         else:
             new_state, log = execute_synch(states[u], algo)
             phase_bytes, body = serialize_sync_state(new_state)

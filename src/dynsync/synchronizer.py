@@ -4,11 +4,13 @@ step per phase on whatever edges survive a two-round ack/block handshake.
 Each node keeps, per port, a one-bit ack it raises after reading a same-phase
 neighbor, and a one-bit block register that either endpoint may set once it
 has seen the other side's ack; the block register is the only remotely
-writable bit. A node stores each register as the set of its ports whose bit
-is 1. A node advances its phase (runs the wrapped algorithm's step)
-exactly when every port it still waits on is blocked. Ports whose edge
-vanished since the phase started are dropped from the wait set, but a port
-that was blocked before vanishing still feeds the step.
+writable bit. A node stores each register, and each of its other per-port
+sets, as a delta-bit word: an int whose bit p stands for port p, so guards
+and updates are bit operations. ``ports_of`` turns a word into the sorted
+port list an event carries. A node advances its phase (runs the wrapped
+algorithm's step) exactly when every port it still waits on is blocked.
+Ports whose edge vanished since the phase started are dropped from the wait
+set, but a port that was blocked before vanishing still feeds the step.
 
 All reads a node performs during a stage observe other nodes as they were at
 the start of that stage; its own writes land at the end of the stage.
@@ -17,6 +19,27 @@ from __future__ import annotations
 
 from enum import Enum
 from typing import Any, Mapping, NamedTuple
+
+# _BYTE_PORTS[b] is the set bits of the byte b, ascending; filled on first use
+_BYTE_PORTS: list[tuple[int, ...]] = []
+
+
+def ports_of(mask: int) -> list[int]:
+    """The ports whose bit is set in ``mask``, ascending, as a new list.
+
+    One lookup per byte of the word in a 256-entry table, so the table stays
+    the same size for any delta."""
+    if not _BYTE_PORTS:
+        _BYTE_PORTS.extend(tuple(p for p in range(8) if b >> p & 1) for b in range(256))
+    if mask < 256:
+        return list(_BYTE_PORTS[mask])
+    ports: list[int] = []
+    base = 0
+    while mask:
+        ports += [base + p for p in _BYTE_PORTS[mask & 255]]
+        mask >>= 8
+        base += 8
+    return ports
 
 
 class ProtocolViolation(RuntimeError):
@@ -33,17 +56,19 @@ class PulledView(NamedTuple):
     the pull happened in. Immutable once pulled except for ack refreshes,
     which replace only ``ack`` and keep the phase-start algorithm snapshot.
 
-    ``detector`` is the neighbor's accumulated disconnection set at stage
-    start, before any same-stage activation of the neighbor clears it.
+    ``valid_ports``, ``phase_drops`` and ``detector`` are the neighbor's
+    words (bit p for its port p). ``detector`` is its accumulated
+    disconnection word at stage start, before any same-stage activation of
+    the neighbor clears it.
     """
 
     phase: int
     synch: int
     remote_port: int
     ack: int
-    valid_ports: frozenset[int]
-    phase_drops: frozenset[int]
-    detector: frozenset[int]
+    valid_ports: int
+    phase_drops: int
+    detector: int
     algo_state: Any
 
     def with_ack(self, ack: int) -> "PulledView":
@@ -56,7 +81,8 @@ class PulledView(NamedTuple):
 class NodeState:
     """Synchronizer variables of one anonymous node.
 
-    acked and blocked are the ports whose ack bit and block register are 1.
+    Every per-port set is a delta-bit word, bit p for port p. acked and
+    blocked hold the ports whose ack bit and block register are 1.
     valid_ports is fixed when a phase's first activation runs; invalid_ports
     holds the ports excluded at that moment. phase_drops accumulates ports
     whose edge vanished during the current phase. committed_ports is the edge
@@ -73,12 +99,12 @@ class NodeState:
         delta: int,
         synch: int = 0,
         phase: int = 0,
-        acked: frozenset[int] = frozenset(),
-        blocked: frozenset[int] = frozenset(),
-        invalid_ports: frozenset[int] = frozenset(),
-        valid_ports: frozenset[int] = frozenset(),
-        phase_drops: frozenset[int] = frozenset(),
-        committed_ports: frozenset[int] = frozenset(),
+        acked: int = 0,
+        blocked: int = 0,
+        invalid_ports: int = 0,
+        valid_ports: int = 0,
+        phase_drops: int = 0,
+        committed_ports: int = 0,
         pulled: dict[int, PulledView] | None = None,
         algo_state: Any = None,
     ) -> None:
@@ -117,7 +143,7 @@ def enabled_action(state: NodeState) -> ActionKind:
     dynamics."""
     # Both guards read one test: is every port the node still waits on,
     # valid_ports minus phase_drops, blocked?
-    waited_out = state.valid_ports - state.phase_drops <= state.blocked
+    waited_out = not state.valid_ports & ~state.phase_drops & ~state.blocked
     hs, ex = state.synch == 0 or not waited_out, state.synch == 1 and waited_out
     if hs == ex:
         raise ProtocolViolation(f"guards not complementary: handshake={hs} execute={ex}")
@@ -130,84 +156,94 @@ def _is_stranger(view: PulledView, phase: int) -> bool:
     not there (or broke) since that handshake began."""
     if view.phase > phase:
         return True
+    # bit 0 of the shifted word: the edge is not valid, dropped, or detected
     return (
         view.phase == phase
         and view.synch == 1
-        and (
-            view.remote_port not in view.valid_ports
-            or view.remote_port in (view.phase_drops | view.detector)
-        )
+        and (~view.valid_ports | view.phase_drops | view.detector) >> view.remote_port & 1 == 1
     )
 
 
 def handshake(
     state: NodeState,
     reads: Mapping[int, PulledView],
-    detector: frozenset[int],
+    detector: int,
 ) -> tuple[NodeState, tuple[int, ...], dict]:
     """Run the handshake action against stage-start snapshots.
 
     ``reads`` must cover exactly the currently occupied ports; ``detector``
-    is this node's accumulated disconnection set at stage start. Returns the
+    is this node's accumulated disconnection word at stage start. Returns the
     replacement state, the local ports it blocked, through which a remote
     block write must be sent (their edges are necessarily live this stage),
     and a log payload for the trace.
     """
     new = state.clone()
+    pulled, phase = new.pulled, new.phase
     log: dict = {}
 
     if state.synch == 0:
         # Phase start: pull everything in sight, fix the wait set for the
         # whole phase, and begin handshaking.
-        new.pulled = dict(reads)
-        new.phase_drops = frozenset()
-        occupied = frozenset(reads)
-        new.invalid_ports = frozenset(
-            p for p, view in reads.items() if _is_stranger(view, state.phase)
-        )
-        new.valid_ports = occupied - new.invalid_ports
+        new.pulled = pulled = dict(reads)
+        new.phase_drops = 0
+        occupied = invalid = 0
+        for port, view in reads.items():
+            bit = 1 << port
+            occupied |= bit
+            if _is_stranger(view, phase):
+                invalid |= bit
+        new.invalid_ports = invalid
+        new.valid_ports = occupied & ~invalid
         new.synch = 1
-        waiting = sorted(new.valid_ports)
+        waiting = ports_of(new.valid_ports)
         log["branch"] = "init"
     else:
         # the wait set once this stage's drops are absorbed: the ports to
         # refresh now and to ack or block below
-        new.phase_drops = new.phase_drops | detector
-        waiting = sorted(new.valid_ports - new.phase_drops)
+        new.phase_drops |= detector
+        waiting = ports_of(new.valid_ports & ~new.phase_drops)
         refreshed: list[int] = []
         repulled: list[int] = []
         for port in waiting:
-            if port not in reads:
+            read = reads.get(port)
+            if read is None:
                 raise ProtocolViolation(
                     f"port {port} is waited on but unoccupied; engine must supply it"
                 )
-            stored = new.pulled[port]
-            if stored.phase < new.phase:
+            stored = pulled[port]
+            if stored.phase < phase:
                 # Partner was behind at the last pull; take a full new view.
-                new.pulled[port] = reads[port]
+                pulled[port] = read
                 repulled.append(port)
             else:
-                new.pulled[port] = stored.with_ack(reads[port].ack)
+                # an unchanged ack keeps the stored view as it is
+                if stored.ack != read.ack:
+                    pulled[port] = stored.with_ack(read.ack)
                 refreshed.append(port)
         log["branch"] = "continue"
         log["repulled"] = repulled
         log["ack_refreshed"] = refreshed
-        log["drops_absorbed"] = sorted(detector)
+        log["drops_absorbed"] = ports_of(detector)
 
     # Second half of every handshake: raise acks toward same-phase partners,
     # and block (both sides) any port whose partner already acked us.
+    blocked = new.blocked
+    acks = blocks = 0
     acks_set: list[int] = []
     blocks_set: list[int] = []
     for port in waiting:
-        view = new.pulled[port]
-        if view.phase != new.phase or port in new.blocked:
+        view = pulled[port]
+        bit = 1 << port
+        if view.phase != phase or blocked & bit:
             continue
         if view.ack == 1:
             blocks_set.append(port)
+            blocks |= bit
         else:
             acks_set.append(port)
-    new.acked = new.acked.union(acks_set)
-    new.blocked = new.blocked.union(blocks_set)
+            acks |= bit
+    new.acked |= acks
+    new.blocked = blocked | blocks
     log["acks_set"] = acks_set
     log["blocks_set"] = blocks_set
     return new, tuple(blocks_set), log
@@ -217,7 +253,8 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
     """Commit the phase: feed the wrapped algorithm the views behind every
     blocked port of the wait-set origin (a blocked port that later dropped
     still counts), then advance and reset all per-port bits."""
-    committed = sorted(state.valid_ports & state.blocked)
+    committed_ports = state.valid_ports & state.blocked
+    committed = ports_of(committed_ports)
     neighbor_states = algo.sort_states(state.pulled[p].algo_state for p in committed)
     new = NodeState(
         delta=state.delta,
@@ -225,13 +262,13 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
         invalid_ports=state.invalid_ports,
         valid_ports=state.valid_ports,
         phase_drops=state.phase_drops,
-        committed_ports=frozenset(committed),
+        committed_ports=committed_ports,
         algo_state=algo.step(state.algo_state, neighbor_states),
     )
     log = {
         "committed": committed,
-        "valid": sorted(state.valid_ports),
-        "phase_drops": sorted(state.phase_drops),
+        "valid": ports_of(state.valid_ports),
+        "phase_drops": ports_of(state.phase_drops),
     }
     return new, log
 
@@ -239,7 +276,7 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
 def apply_remote_block(state: NodeState, port: int) -> None:
     """Land a remote block write: a one-way 0 -> 1 transition, applied after
     all local state replacements of the stage."""
-    state.blocked = state.blocked | {port}
+    state.blocked |= 1 << port
 
 
 PHASE_BYTES = 8  # fixed-width pulled-phase record in the canonical encoding
@@ -251,10 +288,10 @@ def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
     """Canonical encoding of the synchronizer footprint, excluding algorithm
     states: (phase counter in minimal big-endian bytes, fixed-shape body).
 
-    The body holds one 12-byte record per port plus four sets as sorted index
-    lists, so its size is bounded by 16*delta + 6 for any reachable state.
-    Pulled views contribute only the fields consulted after the pulling
-    stage: presence, phase, ack.
+    The body holds one 12-byte record per port plus four words as sorted
+    index lists, so its size is bounded by 16*delta + 6 for any reachable
+    state. Pulled views contribute only the fields consulted after the
+    pulling stage: presence, phase, ack.
     """
     phase, delta = state.phase, state.delta
     phase_bytes = phase.to_bytes(max(1, (phase.bit_length() + 7) // 8), "big")
@@ -262,9 +299,11 @@ def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
     # pulled ack, pulled phase; ports outside 0..delta-1 have none
     body = bytearray(2 + 12 * delta)
     body[0], body[1] = state.synch & 1, delta
-    for offset, members in ((2, state.acked), (3, state.blocked)):
-        for port in members:
-            if 0 <= port < delta:
+    in_range = (1 << delta) - 1
+    for offset, members in ((2, state.acked & in_range), (3, state.blocked & in_range)):
+        # an execute, the one action whose state a run serializes, clears both
+        if members:
+            for port in ports_of(members):
                 body[offset + 12 * port] = 1
     for port, view in state.pulled.items():
         if 0 <= port < delta:
@@ -277,7 +316,7 @@ def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
         state.phase_drops,
         state.committed_ports,
     ):
-        ordered = sorted(members)
+        ordered = ports_of(members)
         body.append(len(ordered))
         body += bytes(ordered)
     return phase_bytes, bytes(body)

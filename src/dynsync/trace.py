@@ -226,6 +226,8 @@ class TraceIndex:
     @classmethod
     def build(cls, n: int, horizon: int, events: list[dict]) -> "TraceIndex":
         index = cls(n)
+        stages, acts, executes = index.stages, index.acts, index.executes
+        inits, exec_stages = index.inits, index.exec_stages
         last_t = 0
         pending: Iterator[int] = iter(())  # the current stage's nodes yet to act
         try:
@@ -241,8 +243,8 @@ class TraceIndex:
                 last_t = t
                 kind = ev["kind"]
                 if kind == "stage":
-                    if t != len(index.stages):
-                        due = len(index.stages)
+                    if t != len(stages):
+                        due = len(stages)
                         raise ScenarioError(f"stage event {t} where stage {due} is due")
                     for u in pending:
                         raise ScenarioError(f"stage {t - 1}: activated node {u} did not act")
@@ -255,31 +257,31 @@ class TraceIndex:
                             raise ScenarioError(
                                 f"stage {t}: activated node {u!r} is not in {low}..{n - 1}"
                             )
-                        index.acts[u].append(t)
+                        acts[u].append(t)
                         low = u + 1
                     pending = iter(ev["activated"])
-                    index.stages.append(ev)
+                    stages.append(ev)
                     continue
                 if kind != "action":
                     raise ScenarioError(f"trace event {i}: unknown kind {kind!r}")
                 u = ev["node"]
                 if type(u) is not int:
                     raise _not_an_int(i, "node", u)
-                if t >= len(index.stages):
+                if t >= len(stages):
                     raise ScenarioError(f"stage {t}: action of node {u} before the stage event")
                 # the activated nodes are in 0..n-1, and so, then, is u
                 if next(pending, None) != u:
                     raise ScenarioError(f"stage {t}: node {u} acts out of activation order")
                 action = ev["action"]
                 if action == "execute":
-                    k = len(index.executes[u])
+                    k = len(executes[u])
                     phase = ev["phase"]
                     if type(phase) is not int:
                         raise _not_an_int(i, "phase", phase)
                     if phase != k:
                         raise ScenarioError(f"node {u}: phase counter skew at event {k}")
                     # the strong oracle reads phase k's init handshake by position
-                    if k >= len(index.inits[u]) or index.inits[u][k]["phase"] != k:
+                    if k >= len(inits[u]) or inits[u][k]["phase"] != k:
                         raise ScenarioError(f"node {u}: no init handshake for completed phase {k}")
                     if type(ev["state"]) is not str:
                         raise ScenarioError(f"node {u} phase {k}: state is not a string")
@@ -295,14 +297,14 @@ class TraceIndex:
                                 f"node {u} phase {k}: committed neighbor {entry[1]!r} "
                                 f"is not in 0..{n - 1}"
                             )
-                    index.executes[u].append(ev)
-                    index.exec_stages[u].append(t)
+                    executes[u].append(ev)
+                    exec_stages[u].append(t)
                 elif action == "handshake":
                     branch = ev["branch"]
                     if branch == "init":
                         if type(ev["phase"]) is not int:
                             raise _not_an_int(i, "phase", ev["phase"])
-                        index.inits[u].append(ev)
+                        inits[u].append(ev)
                     elif branch != "continue":
                         raise ScenarioError(f"trace event {i}: unknown branch {branch!r}")
                 else:
@@ -310,13 +312,13 @@ class TraceIndex:
         except KeyError as exc:
             # event i was being read when the key was missing
             raise ScenarioError(f"trace event {i} has no {exc.args[0]!r} key") from None
-        if len(index.stages) != horizon:
-            raise ScenarioError(f"trace has {len(index.stages)} of {horizon} stage events")
+        if len(stages) != horizon:
+            raise ScenarioError(f"trace has {len(stages)} of {horizon} stage events")
         for u in pending:
             raise ScenarioError(f"stage {horizon - 1}: activated node {u} did not act")
-        completed = min(map(len, index.exec_stages), default=0)
+        completed = min(map(len, exec_stages), default=0)
         index.phase_starts += [
-            max(stages[i] for stages in index.exec_stages) + 1 for i in range(completed)
+            max(node_stages[i] for node_stages in exec_stages) + 1 for i in range(completed)
         ]
         return index
 

@@ -64,8 +64,12 @@ class TimeVaryingGraph:
             raise ScenarioError(f"need delta >= 1, got {self.delta}")
         if not self.stages:
             raise ScenarioError("graph needs at least one stage")
+        # a static graph repeats one edge set object, checked at its first stage
+        checked: set[int] = set()
         for t, edges in enumerate(self.stages):
-            _validate_edge_set(edges, self.n, self.delta, t)
+            if id(edges) not in checked:
+                checked.add(id(edges))
+                _validate_edge_set(edges, self.n, self.delta, t)
 
     @property
     def lifetime(self) -> int:

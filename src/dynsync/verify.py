@@ -45,16 +45,15 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
     per_node = trace.index.executes
     n, delta = trace.n, trace.header["delta"]
     completed = [len(evs) for evs in per_node]
-    committed: dict[tuple[int, int], dict[int, int]] = {}
-    for u in range(n):
-        for i, ev in enumerate(per_node[u]):
-            committed[(u, i)] = {v: p for p, v in ev["committed_map"]}
-    for (u, i), neighbors in sorted(committed.items()):
-        for v in neighbors:
-            if i < completed[v] and u not in committed[(v, i)]:
-                raise SymmetryViolation(
-                    f"phase {i}: node {u} committed the edge to {v}, node {v} did not"
-                )
+    # committed[u][i]: neighbor -> port for node u's phase i commit
+    committed = [[{v: p for p, v in ev["committed_map"]} for ev in evs] for evs in per_node]
+    for u, phases in enumerate(committed):
+        for i, neighbors in enumerate(phases):
+            for v in neighbors:
+                if i < completed[v] and u not in committed[v][i]:
+                    raise SymmetryViolation(
+                        f"phase {i}: node {u} committed the edge to {v}, node {v} did not"
+                    )
     if ports is not None:
         for u in range(n):
             for ev in trace.index.inits[u]:
@@ -69,7 +68,8 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
                     )
     steps: list[frozenset[Edge]] = []
     for i in range(min(completed)):
-        edges = {edge(u, v) for u in range(n) for v in committed[(u, i)]}
+        # edge() names a node that committed an edge to itself
+        edges = {edge(u, v) for u, phases in enumerate(committed) for v in phases[i]}
         degree = [0] * n
         for a, b in edges:
             degree[a] += 1
@@ -105,11 +105,11 @@ def check_correctness(
     if extracted is None:
         extracted = extract_H(trace)
     m = extracted.compared_phases
-    reference = reference_run(algo, extracted.steps, trace.n, inputs)
+    after_step = reference_run(algo, extracted.steps, trace.n, inputs).after_step
     for u, events in enumerate(executes):
         for i in range(m):
             got = events[i]["state"]
-            want = algo.serialize(reference.state(u, i)).hex()
+            want = algo.serialize(after_step[i][u]).hex()
             if got != want:
                 return EquivalenceReport(ok=False, compared_phases=m, divergence=(u, i, got, want))
     return EquivalenceReport(ok=True, compared_phases=m)
@@ -151,12 +151,12 @@ def check_pulled_consistency(
     """Every committed port's stored snapshot must equal the partner's actual
     state at the partner's own commit boundary for the same phase."""
     checked, failures = 0, []
-    boundary: dict[tuple[int, int], str] = {}
-    for v, events in enumerate(trace.index.executes):
-        init = algo.init(v, None if inputs is None else inputs[v])
-        boundary[(v, -1)] = algo.serialize(init).hex()
-        for i, ev in enumerate(events):
-            boundary[(v, i)] = ev["state"]
+    # boundary[v][i + 1]: node v's state after phase i, its initial one first
+    boundary = [
+        [algo.serialize(algo.init(v, None if inputs is None else inputs[v])).hex()]
+        + [ev["state"] for ev in events]
+        for v, events in enumerate(trace.index.executes)
+    ]
     for u, events in enumerate(trace.index.executes):
         for ev in events:
             resolved = {p: v for p, v in ev["committed_map"]}
@@ -174,7 +174,8 @@ def check_pulled_consistency(
                         f"node {u} phase {ev['phase']}: pulled port {p!r} is not in committed_map"
                     )
                 partner = resolved[p]
-                want = boundary.get((partner, ev["phase"] - 1))
+                states = boundary[partner]
+                want = states[ev["phase"]] if ev["phase"] < len(states) else None
                 if want is None:
                     failures.append(
                         f"node {u} phase {ev['phase']} port {p}: partner {partner} "

@@ -3,11 +3,23 @@
 ``brute_force_run`` is a from-scratch synchronous executor kept deliberately
 separate from the packaged reference runner so the two can cross-check each
 other, and ``reference_ports`` a from-scratch port assignment. The builders
-below make small random-but-seeded fixtures.
+below make small random-but-seeded fixtures. ``word`` and ``bits`` convert
+between a set of ports and the synchronizer's bit words (bit p for port p),
+by plain arithmetic, not by the package's own lookup.
 """
 import random
 
 from dynsync.tvg import edge
+
+
+def word(ports) -> int:
+    """The bit word whose set bits are the given ports."""
+    return sum(1 << p for p in set(ports))
+
+
+def bits(mask: int) -> frozenset[int]:
+    """The ports whose bit is set in a bit word."""
+    return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 def brute_force_run(algo, edge_sets, n, inputs=None):

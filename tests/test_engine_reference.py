@@ -1,7 +1,8 @@
 """The engine against a brute-force transcription of its docstring's stage
 semantics: port maps rebuilt at every stage by ``reference_ports``,
 disconnections found by scanning the stage before's maps, detectors kept as
-plain sets, and every read taken from a deep copy of the stage-start states.
+plain sets and turned into bit words only where the synchronizer reads them,
+and every read taken from a deep copy of the stage-start states.
 The two must give event-for-event equal traces and equal footers on small
 drawn graphs, activation sets and algorithms."""
 import copy
@@ -9,7 +10,7 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_ports
+from conftest import bits, reference_ports, word
 from dynsync.algorithms import make_algorithm
 from dynsync.engine import SchedulerPolicy, run
 from dynsync.synchronizer import (
@@ -78,13 +79,13 @@ def reference_run(graph, script, algo, inputs=None):
                         seen.phase,
                         seen.synch,
                         back,
-                        1 if back in seen.acked else 0,
+                        1 if back in bits(seen.acked) else 0,
                         seen.valid_ports,
                         seen.phase_drops,
-                        frozenset(start_detectors[v]),
+                        word(start_detectors[v]),
                         seen.algo_state,
                     )
-                new, blocked, log = handshake(own, reads, frozenset(start_detectors[u]))
+                new, blocked, log = handshake(own, reads, word(start_detectors[u]))
                 writes += [behind[port] for port in blocked]
                 event = {
                     "kind": "action",
@@ -97,8 +98,8 @@ def reference_run(graph, script, algo, inputs=None):
                 if log["branch"] == "init":
                     init_maps[u] = dict(maps[t][u])
                     event["port_map"] = sorted([p, v] for p, v in maps[t][u].items())
-                    event["valid"] = sorted(new.valid_ports)
-                    event["invalid"] = sorted(new.invalid_ports)
+                    event["valid"] = sorted(bits(new.valid_ports))
+                    event["invalid"] = sorted(bits(new.invalid_ports))
             else:
                 new, log = execute_synch(own, algo)
                 phase_bytes, body = serialize_sync_state(new)
@@ -124,7 +125,7 @@ def reference_run(graph, script, algo, inputs=None):
         for u, new in replaced.items():
             states[u] = new
         for v, port in writes:
-            states[v].blocked = states[v].blocked | {port}
+            states[v].blocked = word(bits(states[v].blocked) | {port})
         for u in activated:
             detectors[u] = set()
     footer = {

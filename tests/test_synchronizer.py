@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bits, word
 from dynsync.algorithms import CounterAlgo
 from dynsync.synchronizer import (
     PHASE_BYTES,
@@ -32,9 +33,9 @@ def view(
         synch=synch,
         remote_port=remote_port,
         ack=ack,
-        valid_ports=frozenset(valid),
-        phase_drops=frozenset(drops),
-        detector=frozenset(detector),
+        valid_ports=word(valid),
+        phase_drops=word(drops),
+        detector=word(detector),
         algo_state=algo_state,
     )
 
@@ -42,7 +43,7 @@ def view(
 def test_fresh_state_wants_a_handshake():
     s = NodeState(3, algo_state=0)
     assert (s.delta, s.synch, s.phase) == (3, 0, 0)
-    assert s.acked == s.blocked == frozenset()
+    assert s.acked == s.blocked == 0
     assert enabled_action(s) is ActionKind.HANDSHAKE
 
 
@@ -51,7 +52,8 @@ def docstring_guards(state):
     a node advances exactly when every port it still waits on (valid_ports
     minus phase_drops) is blocked, so it handshakes while synch is 0 or some
     waited port is unblocked, and executes when synch is 1 and none is."""
-    waited_out = all(p in state.blocked for p in state.valid_ports if p not in state.phase_drops)
+    blocked = bits(state.blocked)
+    waited_out = all(p in blocked for p in bits(state.valid_ports) - bits(state.phase_drops))
     return state.synch == 0 or not waited_out, state.synch == 1 and waited_out
 
 
@@ -71,9 +73,9 @@ def test_property_exactly_one_action_enabled(synch, delta, data):
     blocked = data.draw(ports)
     s = NodeState(delta, algo_state=0)
     s.synch = synch
-    s.valid_ports = frozenset(valid)
-    s.phase_drops = frozenset(drops)
-    s.blocked = frozenset(blocked)
+    s.valid_ports = word(valid)
+    s.phase_drops = word(drops)
+    s.blocked = word(blocked)
     hs, ex = docstring_guards(s)
     assert hs != ex
     assert enabled_action(s) is (ActionKind.HANDSHAKE if hs else ActionKind.EXECUTE)
@@ -88,10 +90,10 @@ def test_property_enabled_action_is_the_guard_that_holds(synch, delta, data):
     ports = st.sets(st.integers(0, delta - 1))
     s = NodeState(delta, algo_state=0)
     s.synch = synch
-    s.valid_ports = frozenset(data.draw(ports))
-    s.phase_drops = frozenset(data.draw(ports))
-    s.acked = frozenset(data.draw(ports))
-    s.blocked = frozenset(data.draw(ports))
+    s.valid_ports = word(data.draw(ports))
+    s.phase_drops = word(data.draw(ports))
+    s.acked = word(data.draw(ports))
+    s.blocked = word(data.draw(ports))
     hs, ex = docstring_guards(s)
     if hs == ex:
         with pytest.raises(ProtocolViolation, match="guards not complementary"):
@@ -124,12 +126,12 @@ class TestInitBranch:
     def test_pulls_everything_and_fixes_wait_set(self):
         s = NodeState(2, algo_state=0)
         reads = {0: view(remote_port=1), 1: view(remote_port=0)}
-        new, writes, log = handshake(s, reads, frozenset())
+        new, writes, log = handshake(s, reads, 0)
         assert log["branch"] == "init"
         assert new.synch == 1
         assert new.pulled == reads
-        assert new.valid_ports == frozenset({0, 1})
-        assert new.invalid_ports == frozenset()
+        assert bits(new.valid_ports) == {0, 1}
+        assert bits(new.invalid_ports) == set()
         assert writes == ()
 
     @pytest.mark.parametrize(
@@ -145,37 +147,37 @@ class TestInitBranch:
     )
     def test_stranger_classification(self, neighbor, stranger):
         s = NodeState(1, algo_state=0)
-        new, _, _ = handshake(s, {0: view(**neighbor)}, frozenset())
-        assert (0 in new.invalid_ports) is stranger
-        assert (0 in new.valid_ports) is (not stranger)
+        new, _, _ = handshake(s, {0: view(**neighbor)}, 0)
+        assert (0 in bits(new.invalid_ports)) is stranger
+        assert (0 in bits(new.valid_ports)) is (not stranger)
 
     def test_same_stage_partner_with_ack_gets_blocked_immediately(self):
         s = NodeState(1, algo_state=0)
-        new, writes, log = handshake(s, {0: view(valid=(0,), ack=1)}, frozenset())
-        assert 0 in new.blocked
+        new, writes, log = handshake(s, {0: view(valid=(0,), ack=1)}, 0)
+        assert 0 in bits(new.blocked)
         assert writes == (0,)
         assert log["blocks_set"] == [0]
 
     def test_partner_without_ack_gets_acked(self):
         s = NodeState(1, algo_state=0)
-        new, writes, log = handshake(s, {0: view()}, frozenset())
-        assert 0 in new.acked
-        assert 0 not in new.blocked
+        new, writes, log = handshake(s, {0: view()}, 0)
+        assert 0 in bits(new.acked)
+        assert 0 not in bits(new.blocked)
         assert writes == ()
         assert log["acks_set"] == [0]
 
     def test_phase_drops_reset_at_phase_start(self):
         s = NodeState(1, algo_state=0)
-        s.phase_drops = frozenset({0})
-        new, _, _ = handshake(s, {}, frozenset())
-        assert new.phase_drops == frozenset()
+        s.phase_drops = word({0})
+        new, _, _ = handshake(s, {}, 0)
+        assert bits(new.phase_drops) == set()
 
 
 class TestContinueBranch:
     def started(self):
         s = NodeState(2, algo_state=0)
         reads = {0: view(algo_state=10), 1: view(algo_state=20)}
-        new, _, _ = handshake(s, reads, frozenset())
+        new, _, _ = handshake(s, reads, 0)
         return new
 
     def test_stale_view_fully_repulled(self):
@@ -183,7 +185,7 @@ class TestContinueBranch:
         s.phase = 1  # as if the node advanced while port 0's partner lagged
         s.synch = 1
         fresh = view(phase=1, ack=1, algo_state=99)
-        new, _, log = handshake(s, {0: fresh, 1: view(phase=1, algo_state=77)}, frozenset())
+        new, _, log = handshake(s, {0: fresh, 1: view(phase=1, algo_state=77)}, 0)
         assert log["branch"] == "continue"
         assert set(log["repulled"]) == {0, 1}
         assert new.pulled[0] == fresh
@@ -191,7 +193,7 @@ class TestContinueBranch:
     def test_current_view_only_refreshes_ack(self):
         s = self.started()
         bait = view(ack=1, algo_state=999)  # same phase, newer algorithm state
-        new, _, log = handshake(s, {0: bait, 1: view()}, frozenset())
+        new, _, log = handshake(s, {0: bait, 1: view()}, 0)
         assert log["ack_refreshed"] == [0, 1]
         assert new.pulled[0].ack == 1
         # the phase-start snapshot must survive the refresh
@@ -199,22 +201,22 @@ class TestContinueBranch:
 
     def test_detector_absorbed_into_phase_drops(self):
         s = self.started()
-        new, _, log = handshake(s, {1: view()}, frozenset({0}))
-        assert new.phase_drops == frozenset({0})
+        new, _, log = handshake(s, {1: view()}, word({0}))
+        assert bits(new.phase_drops) == {0}
         assert log["drops_absorbed"] == [0]
         # port 0 is excused, so only port 1 needed a read
 
     def test_waited_port_missing_from_reads_is_a_harness_bug(self):
         s = self.started()
         with pytest.raises(ProtocolViolation):
-            handshake(s, {1: view()}, frozenset())
+            handshake(s, {1: view()}, 0)
 
     def test_second_round_blocks_after_seeing_ack(self):
         s = self.started()
-        new, writes, log = handshake(s, {0: view(ack=1), 1: view()}, frozenset())
-        assert 0 in new.blocked
+        new, writes, log = handshake(s, {0: view(ack=1), 1: view()}, 0)
+        assert 0 in bits(new.blocked)
         assert writes == (0,)
-        assert 1 in new.acked
+        assert 1 in bits(new.acked)
         assert log["blocks_set"] == [0]
         assert log["acks_set"] == [1]
 
@@ -224,9 +226,9 @@ class TestExecute:
         algo = CounterAlgo()
         s = NodeState(2, algo_state=algo.init(0))
         s.synch = 1
-        s.valid_ports = frozenset({0, 1})
-        s.phase_drops = frozenset({1})  # dropped after its block was set
-        s.blocked = frozenset({0, 1})
+        s.valid_ports = word({0, 1})
+        s.phase_drops = word({1})  # dropped after its block was set
+        s.blocked = word({0, 1})
         s.pulled = {0: view(algo_state=0), 1: view(algo_state=0)}
         assert enabled_action(s) is ActionKind.EXECUTE
         new, log = execute_synch(s, algo)
@@ -238,8 +240,8 @@ class TestExecute:
         algo = CounterAlgo()
         s = NodeState(2, algo_state=algo.init(0))
         s.synch = 1
-        s.valid_ports = frozenset({0})
-        s.blocked = frozenset({0, 1})  # port 1 blocked but never valid this phase
+        s.valid_ports = word({0})
+        s.blocked = word({0, 1})  # port 1 blocked but never valid this phase
         s.pulled = {0: view()}
         new, log = execute_synch(s, algo)
         assert log["committed"] == [0]
@@ -248,16 +250,16 @@ class TestExecute:
         algo = CounterAlgo()
         s = NodeState(1, algo_state=algo.init(0))
         s.synch = 1
-        s.valid_ports = frozenset({0})
-        s.acked = frozenset({0})
-        s.blocked = frozenset({0})
+        s.valid_ports = word({0})
+        s.acked = word({0})
+        s.blocked = word({0})
         s.pulled = {0: view(algo_state=5)}
         new, _ = execute_synch(s, algo)
         assert (new.phase, new.synch) == (1, 0)
         assert new.algo_state == 1
         assert new.pulled == {}
-        assert 0 not in new.acked and 0 not in new.blocked
-        assert new.committed_ports == frozenset({0})
+        assert 0 not in bits(new.acked) and 0 not in bits(new.blocked)
+        assert bits(new.committed_ports) == {0}
         # the pre-step state is untouched; the engine swaps it in atomically
         assert s.phase == 0 and s.pulled
 
@@ -278,24 +280,24 @@ def test_two_nodes_handshake_to_execution_in_three_stages():
 
     def read(other):
         return {0: view(phase=other.phase, synch=other.synch, remote_port=0,
-                        ack=int(0 in other.acked), valid=other.valid_ports,
-                        drops=other.phase_drops, algo_state=other.algo_state)}
+                        ack=int(0 in bits(other.acked)), valid=bits(other.valid_ports),
+                        drops=bits(other.phase_drops), algo_state=other.algo_state)}
 
     # stage 0: both init against each other's stage-start image
     ra, rb = read(b), read(a)
-    a, wa, _ = handshake(a, ra, frozenset())
-    b, wb, _ = handshake(b, rb, frozenset())
+    a, wa, _ = handshake(a, ra, 0)
+    b, wb, _ = handshake(b, rb, 0)
     assert wa == wb == ()
-    assert 0 in a.acked and 0 in b.acked
+    assert 0 in bits(a.acked) and 0 in bits(b.acked)
 
     # stage 1: both see the other's ack and block both sides
     ra, rb = read(b), read(a)
-    a, wa, _ = handshake(a, ra, frozenset())
-    b, wb, _ = handshake(b, rb, frozenset())
+    a, wa, _ = handshake(a, ra, 0)
+    b, wb, _ = handshake(b, rb, 0)
     assert wa == (0,) and wb == (0,)
     apply_remote_block(b, 0)
     apply_remote_block(a, 0)
-    assert 0 in a.blocked and 0 in b.blocked
+    assert 0 in bits(a.blocked) and 0 in bits(b.blocked)
 
     # stage 2: both are enabled to execute and advance together
     assert enabled_action(a) is ActionKind.EXECUTE
@@ -311,8 +313,8 @@ class TestSerialization:
         s = NodeState(1, algo_state=None)
         s.synch = 1
         s.phase = 5
-        s.acked = frozenset({0})
-        s.valid_ports = frozenset({0})
+        s.acked = word({0})
+        s.valid_ports = word({0})
         s.pulled = {0: view(phase=5)}
         phase_bytes, body = serialize_sync_state(s)
         assert phase_bytes == b"\x05"
@@ -342,10 +344,10 @@ class TestSerialization:
         s = NodeState(delta, algo_state=None)
         s.synch = data.draw(st.integers(0, 1))
         s.phase = phase
-        s.invalid_ports = frozenset(occupied - valid)
-        s.valid_ports = frozenset(valid)
-        s.phase_drops = frozenset(data.draw(st.sets(st.sampled_from(sorted(valid))))) if valid else frozenset()
-        s.committed_ports = frozenset(valid)
+        s.invalid_ports = word(occupied - valid)
+        s.valid_ports = word(valid)
+        s.phase_drops = word(data.draw(st.sets(st.sampled_from(sorted(valid))))) if valid else 0
+        s.committed_ports = word(valid)
         for p in occupied:
             s.pulled[p] = view(phase=phase)
         phase_bytes, body = serialize_sync_state(s)
@@ -364,7 +366,7 @@ def reference_serialize(state):
     for port in range(state.delta):
         view = state.pulled.get(port)
         present, ack, pulled_phase = (0, 0, 0) if view is None else (1, view.ack, view.phase)
-        body += bytes((port in state.acked, port in state.blocked, present, ack))
+        body += bytes((port in bits(state.acked), port in bits(state.blocked), present, ack))
         body += pulled_phase.to_bytes(PHASE_BYTES, "big")
     for members in (
         state.invalid_ports,
@@ -372,7 +374,7 @@ def reference_serialize(state):
         state.phase_drops,
         state.committed_ports,
     ):
-        ordered = sorted(members)
+        ordered = sorted(bits(members))
         body.append(len(ordered))
         body += bytes(ordered)
     return phase_bytes, bytes(body)
@@ -381,22 +383,23 @@ def reference_serialize(state):
 @settings(max_examples=200, deadline=None)
 @given(delta=st.integers(1, 6), phase=st.integers(0, 2**64 - 1), data=st.data())
 def test_property_serialization_equals_the_per_port_reference(delta, phase, data):
-    """Equal bytes for any state: acked and blocked members and pulled views
-    at ports outside 0..delta-1, which both encoders ignore, pulled phases up
-    to 2**64 - 1, and the emptied state an execute leaves, which is the one
-    ``run`` serializes."""
+    """Equal bytes for any state: acked and blocked bits above delta - 1 and
+    pulled views at ports outside 0..delta-1, which both encoders ignore,
+    pulled phases up to 2**64 - 1, and the emptied state an execute leaves,
+    which is the one ``run`` serializes. A word has no negative ports, so its
+    out-of-range bits are the six above delta - 1."""
     any_port = st.integers(-3, delta + 2)
-    ports = st.frozensets(st.integers(0, delta - 1))
+    ports = st.builds(word, st.frozensets(st.integers(0, delta - 1)))
     s = NodeState(delta, synch=data.draw(st.integers(0, 1)), phase=phase, algo_state=0)
-    s.acked = data.draw(st.frozensets(any_port))
-    s.blocked = data.draw(st.frozensets(any_port))
+    s.acked = word(data.draw(st.frozensets(st.integers(0, delta + 5))))
+    s.blocked = word(data.draw(st.frozensets(st.integers(0, delta + 5))))
     s.invalid_ports, s.valid_ports = data.draw(ports), data.draw(ports)
     s.phase_drops, s.committed_ports = data.draw(ports), data.draw(ports)
     views = st.builds(view, phase=st.integers(0, 2**64 - 1), ack=st.integers(0, 1))
     s.pulled = data.draw(st.dictionaries(any_port, views))
     assert serialize_sync_state(s) == reference_serialize(s)
     # execute feeds the step the views behind the blocked valid ports
-    for port in s.valid_ports & s.blocked:
+    for port in bits(s.valid_ports & s.blocked):
         s.pulled.setdefault(port, view(phase=phase))
     after, _ = execute_synch(s, CounterAlgo())
     assert not (after.acked or after.blocked or after.pulled)

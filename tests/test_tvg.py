@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynsync.tvg as tvg_mod
 from conftest import random_edge_sets, reference_ports
 from dynsync.cli import ScenarioConfig
 from dynsync.tvg import (
@@ -46,6 +47,18 @@ class TestGraphValidation:
         star = frozenset({(0, 1), (1, 2)})
         with pytest.raises(ScenarioError):
             TimeVaryingGraph(3, 1, (star,))
+
+    def test_each_distinct_stage_is_checked_once(self, monkeypatch):
+        ok, star = frozenset({(0, 1)}), frozenset({(0, 1), (1, 2)})
+        with pytest.raises(ScenarioError, match=r"^stage 2: node 1 has degree 2 > delta 1$"):
+            TimeVaryingGraph(3, 1, (ok, frozenset({(0, 1)}), star, ok))
+        # a repeated edge set is named at its first stage
+        with pytest.raises(ScenarioError, match=r"^stage 1: node 1 has degree 2 > delta 1$"):
+            TimeVaryingGraph(3, 1, (ok, star, star))
+        checked = []
+        monkeypatch.setattr(tvg_mod, "_validate_edge_set", lambda *args: checked.append(args[3]))
+        TimeVaryingGraph(3, 1, (ok,) * 5 + (frozenset({(1, 2)}), ok))
+        assert checked == [0, 5]
 
     def test_stage_past_lifetime_rejected(self):
         g = TimeVaryingGraph(2, 1, (frozenset(), frozenset({(0, 1)})))

@@ -1,16 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynsync.engine as engine_mod
 from conftest import random_edge_sets
 from dynsync.algorithms import make_algorithm
-from dynsync.cli import build_weak_nontriviality
+from dynsync.cli import build_weak_nontriviality, bundled_scenarios, load_config
 from dynsync.demo import extended_model_demo, impossibility_demo
 from dynsync.engine import SchedulerPolicy, run
-from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
+from dynsync.tvg import ScenarioError, TimeVaryingGraph, edge, generate
 from dynsync.verify import (
+    ExtractedSynch,
     SymmetryViolation,
+    check_trace,
     check_correctness,
     check_liveness,
     check_pulled_consistency,
@@ -55,6 +59,129 @@ class TestExtract:
         ev["port_map"] = [[0, 2], [1, 0]]  # swapped, contradicts the assignment
         with pytest.raises(ScenarioError):
             extract_H(trace, ports)
+
+
+def reference_extract(trace, ports=None):
+    """extract_H's docstring by brute force over the event list. Node u's
+    i-th execute commits phase i, and the nodes its committed_map names;
+    every commit must be mutual between nodes that both completed the phase;
+    with ports, every init handshake carries a port_map, its pairs sorted,
+    equal to the assignment's; each phase up to the minimum completed count
+    is the set of committed edges, no node above the degree bound."""
+    n, delta = trace.n, trace.header["delta"]
+    executes = [
+        [ev for ev in trace.events if ev.get("action") == "execute" and ev["node"] == u]
+        for u in range(n)
+    ]
+    completed = [len(evs) for evs in executes]
+
+    def partners(u, i):
+        return [v for _, v in executes[u][i]["committed_map"]]
+
+    for u in range(n):
+        for i in range(completed[u]):
+            for v in partners(u, i):
+                if i < completed[v] and u not in partners(v, i):
+                    raise SymmetryViolation(
+                        f"phase {i}: node {u} committed the edge to {v}, node {v} did not"
+                    )
+    if ports is not None:
+        for ev in trace.events:
+            if ev.get("branch") == "init":
+                t, u = ev["t"], ev["node"]
+                if "port_map" not in ev:
+                    raise ScenarioError(f"stage {t}: init handshake of node {u} has no port_map")
+                if ev["port_map"] != sorted([p, v] for p, v in ports.by_stage[t][u].items()):
+                    raise ScenarioError(
+                        f"stage {t}: trace port map for node {u} disagrees with assignment"
+                    )
+    steps = []
+    for i in range(min(completed)):
+        edges = frozenset(edge(u, v) for u in range(n) for v in partners(u, i))
+        for u in range(n):
+            if sum(u in e for e in edges) > delta:
+                raise ScenarioError(f"phase {i}: committed graph exceeds degree bound {delta}")
+        steps.append(edges)
+    return ExtractedSynch(steps=steps, completed=completed)
+
+
+def extraction_outcome(extract, trace, ports):
+    try:
+        return extract(trace, ports)
+    except (SymmetryViolation, ScenarioError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def forged_runs(draw):
+    """A scripted run of up to 5 nodes and 14 stages, then, maybe, one forged
+    execute or init: a committed neighbor dropped or added (the node itself
+    included), or a port_map removed or reversed."""
+    n = draw(st.integers(1, 5))
+    delta = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    stages = []
+    for _ in range(horizon):
+        degree = [0] * n
+        chosen = set()
+        for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+            if degree[u] < delta and degree[v] < delta:
+                degree[u] += 1
+                degree[v] += 1
+                chosen.add((u, v))
+        stages.append(frozenset(chosen))
+    script = tuple(tuple(draw(st.sets(st.integers(0, n - 1)))) for _ in range(horizon))
+    graph = TimeVaryingGraph(n, delta, tuple(stages))
+    trace = run(graph, SchedulerPolicy(kind="scripted", script=script), make_algorithm("counter"))
+    executes = [ev for ev in trace.events if ev.get("action") == "execute"]
+    inits = [ev for ev in trace.events if ev.get("branch") == "init"]
+    forge = draw(st.sampled_from(["none", "drop", "add", "port_map"]))
+    if forge == "drop" and any(ev["committed_map"] for ev in executes):
+        ev = draw(st.sampled_from([ev for ev in executes if ev["committed_map"]]))
+        del ev["committed_map"][draw(st.integers(0, len(ev["committed_map"]) - 1))]
+    elif forge == "add" and executes:
+        ev = draw(st.sampled_from(executes))
+        ev["committed_map"].append([draw(st.integers(0, delta)), draw(st.integers(0, n - 1))])
+    elif forge == "port_map" and inits:
+        ev = draw(st.sampled_from(inits))
+        if len(ev["port_map"]) > 1:
+            ev["port_map"].reverse()
+        else:
+            del ev["port_map"]
+    return trace, graph.ports
+
+
+class TestExtractReference:
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_bundled_scenarios(self, name):
+        config = load_config(name)
+        graph = config.build_graph()
+        algo, inputs = config.build_algorithm()
+        trace = run(graph, config.build_scheduler(), algo, inputs=inputs)
+        assert extract_H(trace, graph.ports) == reference_extract(trace, graph.ports)
+        assert extract_H(trace) == reference_extract(trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=forged_runs(), with_ports=st.booleans())
+    def test_drawn_and_forged_runs(self, case, with_ports):
+        trace, ports = case
+        ports = ports if with_ports else None
+        got = extraction_outcome(extract_H, trace, ports)
+        assert got == extraction_outcome(reference_extract, trace, ports)
+
+    def test_committed_map_naming_the_node_itself_is_a_named_error(self):
+        trace, ports, _ = run_static([(0, 1)], 2, 2, 9)
+        # mutual with node 1 still, so only the self-loop is wrong
+        trace.index.executes[0][0]["committed_map"].append([1, 0])
+        with pytest.raises(ScenarioError, match=r"^self-loop at node 0$"):
+            extract_H(trace, ports)
+        verdict = check_trace(trace, {"correctness": True}, ports)
+        assert verdict.extracted is None
+        assert [tuple(r) for r in verdict] == [
+            ("extraction", False, "self-loop at node 0"),
+            ("correctness", False, "history extraction failed: self-loop at node 0"),
+        ]
 
 
 class TestCorrectness:
