@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 # hashlib.blake2b is this same type, but importing hashlib also loads OpenSSL
 from _blake2 import blake2b
@@ -20,7 +21,7 @@ from functools import partial
 from importlib import resources
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, NamedTuple, NoReturn, Sequence
 
 from .algorithms import make_algorithm
 from .demo import CLASSIC_PROTOCOLS, HANDSHAKE_DEMO, extended_model_demo, impossibility_demo
@@ -209,13 +210,26 @@ class ScenarioOutcome(NamedTuple):
         return all(c.ok for c in self.checks)
 
 
-def execute_scenario(config: ScenarioConfig) -> ScenarioOutcome:
-    """Run the engine and check its trace; no file I/O here."""
+def execute_scenario(config: ScenarioConfig, out_dir: Path | None = None) -> ScenarioOutcome:
+    """Run the engine and check its trace. Given ``out_dir``, the trace is
+    also written there as NAME.trace.jsonl (see ``TraceWriter``) while it is
+    checked; without it, no file is touched."""
     graph = config.build_graph()
     scheduler = config.build_scheduler()
     algo, inputs = config.build_algorithm()
     header_extra = {"scenario": config.name, "seed": config.seed}
     trace = run(graph, scheduler, algo, inputs=inputs, header_extra=header_extra)
+    if out_dir is None:
+        return check_scenario(config, trace, graph)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with TraceWriter(trace, trace_path(out_dir, config.name)):
+        return check_scenario(config, trace, graph)
+
+
+def check_scenario(
+    config: ScenarioConfig, trace: RunTrace, graph: TimeVaryingGraph
+) -> ScenarioOutcome:
+    """Check a run's trace and read the report's statistics from it."""
     checks = check_trace(trace, config.checks, graph.ports)
     index = trace.index
     stats = {
@@ -226,6 +240,82 @@ def execute_scenario(config: ScenarioConfig) -> ScenarioOutcome:
         "guard_checks": trace.footer.get("guard_checks"),
     }
     return ScenarioOutcome(config, trace, checks, stats)
+
+
+def trace_path(out_dir: Path, name: str) -> Path:
+    return out_dir / f"{name}.trace.jsonl"
+
+
+def cpus_available() -> int:
+    """The CPUs this process may run on, or 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def write_trace(trace: RunTrace, f: BinaryIO) -> None:
+    lines = trace.lines()
+    # written in batches of lines: a write call per line slows the run
+    while batch := "".join(islice(lines, 256)):
+        f.write(batch.encode())
+
+
+class TraceWriter:
+    """Writes a trace to ``path`` while the ``with`` body runs.
+
+    The file is opened on entry, so an open error raises before the body.
+    With two CPUs or more, a forked child writes the trace and the body runs
+    beside it; on one CPU, or where ``os.sched_getaffinity`` is missing, the
+    trace is written on entry, because there a child would only slow the
+    run. The bytes are the same either way. The child is reaped on exit
+    however the body ends, and its failed write raises there as the inline
+    write would: an ``OSError`` with the same errno and message. A child that
+    ends any other way raises ``InternalInvariantError``. When the body
+    raises, the trace is removed, as it was never written when the checks
+    ran before the write."""
+
+    def __init__(self, trace: RunTrace, path: Path) -> None:
+        self.trace = trace
+        self.path = path
+        self.pid = 0
+
+    def __enter__(self) -> None:
+        with self.path.open("wb") as f:
+            if cpus_available() < 2:
+                write_trace(self.trace, f)
+            elif (pid := os.fork()) == 0:
+                _write_in_child(self.trace, f)
+            else:
+                self.pid = pid  # the parent's copy of the file closes here
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        status = os.waitpid(self.pid, 0)[1] if self.pid else 0
+        if exc_type is not None:
+            self.path.unlink(missing_ok=True)
+            return
+        code = os.waitstatus_to_exitcode(status)
+        if 0 < code < 255:
+            raise OSError(code, os.strerror(code))
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise InternalInvariantError(f"the trace writer {how}")
+
+
+def _write_in_child(trace: RunTrace, f: BinaryIO) -> NoReturn:
+    """A forked writer's whole life. It leaves through ``os._exit``, so it
+    never returns into its caller's frames or flushes the stdio it inherited.
+    Its exit status is 0 once the trace is written and closed, the errno of
+    an ``OSError``, and 255 for anything else, whose repr goes to stderr."""
+    status = 255
+    try:
+        write_trace(trace, f)
+        f.close()
+        status = 0
+    except OSError as exc:
+        status = exc.errno or 255
+    except Exception as exc:
+        os.write(2, f"trace writer: {exc!r}\n".encode())
+    finally:
+        os._exit(status)
 
 
 def render_report(outcome: ScenarioOutcome) -> str:
@@ -264,27 +354,25 @@ def history_document(outcome: ScenarioOutcome) -> dict:
 
 
 def write_artifacts(outcome: ScenarioOutcome, out_dir: Path, report: str) -> dict[str, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the history and the report next to the trace that
+    ``execute_scenario`` wrote to ``out_dir``, and return all three paths."""
     base = outcome.config.name
     paths = {
-        "trace": out_dir / f"{base}.trace.jsonl",
+        "trace": trace_path(out_dir, base),
         "history": out_dir / f"{base}.h.json",
         "report": out_dir / f"{base}.report.txt",
     }
-    with paths["trace"].open("wb") as f:
-        lines = outcome.trace.lines()
-        # written in batches of lines: a write call per line slows the run
-        while batch := "".join(islice(lines, 256)):
-            f.write(batch.encode())
     paths["history"].write_text(_dumps(history_document(outcome)) + "\n", encoding="utf-8")
     paths["report"].write_text(report, encoding="utf-8")
     return paths
 
 
 def finish(outcome: ScenarioOutcome, out_dir: Path, quiet: bool, *written: Path) -> int:
-    """Write the artifacts, print the report (only its result line when
-    ``quiet``) and every written path, and return the exit code. ``written``
-    lists files the command wrote before the artifacts."""
+    """Write the history and the report, print the report (only its result
+    line when ``quiet``) and every artifact's path, and return the exit
+    code. The outcome comes from ``execute_scenario`` given the same
+    ``out_dir``, which wrote the trace. ``written`` lists files the command
+    wrote before the history."""
     report = render_report(outcome)
     paths = write_artifacts(outcome, out_dir, report)
     if quiet:
@@ -336,7 +424,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         unknown = selected - set(CHECK_NAMES)
         _require(not unknown, f"unknown checks requested: {sorted(unknown)}")
         config = config._replace(checks={k: v for k, v in config.checks.items() if k in selected})
-    return finish(execute_scenario(config), Path(args.out), args.quiet)
+    out_dir = Path(args.out)
+    return finish(execute_scenario(config, out_dir), out_dir, args.quiet)
 
 
 def build_weak_nontriviality(
@@ -389,10 +478,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         checks={"correctness": True, "strong-nontriviality": True, "liveness": len(steps)},
     )
     config.validate()
-    outcome = execute_scenario(config)
-    # written only for a run that finished, so a rejected history leaves no config
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    outcome = execute_scenario(config, out_dir)
+    # written only for a run that finished, so a rejected history leaves no config
     config_path = out_dir / f"{name}.scenario.json"
     config_path.write_text(_dumps(config._asdict()) + "\n", encoding="utf-8")
     want = [normalize_edges(s) for s in steps]

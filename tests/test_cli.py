@@ -1,9 +1,13 @@
 import gc
 import json
 import os
+import re
+import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +24,7 @@ from dynsync.cli import (
     load_config,
     main,
 )
+from dynsync.engine import InternalInvariantError
 from dynsync.synchronizer import handshake
 from dynsync.trace import RunTrace
 from dynsync.tvg import ScenarioError
@@ -376,9 +381,10 @@ def test_a_failed_extraction_is_the_first_check_and_fails_the_run(tmp_path, monk
 
 
 @pytest.mark.parametrize("name", bundled_scenarios())
-def test_a_run_and_its_check_leave_no_cyclic_garbage(name):
+def test_a_run_and_its_check_leave_no_cyclic_garbage(name, tmp_path, monkeypatch):
     """``main`` pauses the cyclic collector, which is safe only while
-    refcounting alone frees everything a command allocates."""
+    refcounting alone frees everything a command allocates, the trace
+    writer's work included."""
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -389,6 +395,11 @@ def test_a_run_and_its_check_leave_no_cyclic_garbage(name):
         assert gc.collect() == 0
         check_trace(RunTrace.from_jsonl(data), load_config(name).checks)
         assert gc.collect() == 0
+        for cpus in (1, 2):
+            choose_writer(monkeypatch, cpus)
+            execute_scenario(load_config(name), tmp_path)
+            assert gc.collect() == 0
+            assert (tmp_path / f"{name}.trace.jsonl").read_bytes() == data
     finally:
         if was_enabled:
             gc.enable()
@@ -414,6 +425,127 @@ def test_main_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enable
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert seen == [False]
+
+
+def choose_writer(monkeypatch, cpus: int) -> list[int]:
+    """Make the CPU probe report ``cpus``, which picks the trace writer's
+    path, and return the list of the pids of the writers forked from now."""
+    forks, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(dynsync.cli, "cpus_available", lambda: cpus)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+@pytest.fixture(params=[1, 2], ids=["inline-writer", "forked-writer"])
+def writer(request, monkeypatch):
+    """Each test that takes it runs once on each trace writer path."""
+    forks = choose_writer(monkeypatch, request.param)
+    return SimpleNamespace(forks=forks, forked=request.param > 1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+README_TARGET = re.search(
+    r"<<'EOF'\n(.*?\n)EOF", (Path(__file__).resolve().parents[1] / "README.md").read_text()
+).group(1)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", name] for name in bundled_scenarios()] + [["synth", "target.json"]],
+    ids=" ".join,
+)
+def test_both_trace_writers_give_the_same_artifacts_and_output(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.chdir(tmp_path)
+    Path("target.json").write_text(README_TARGET)
+    seen = []
+    for cpus in (1, 2):
+        forks = choose_writer(monkeypatch, cpus)
+        assert main([*command, "--out", "out"]) == EXIT_OK
+        assert len(forks) == (cpus > 1)
+        assert_no_child_left()
+        files = {path.name: path.read_bytes() for path in Path("out").iterdir()}
+        seen.append((capsys.readouterr(), files))
+        shutil.rmtree("out")
+    assert seen[0] == seen[1]
+    assert len(seen[0][1]) == (3 if command[0] == "run" else 4)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", ["static_triangle", "churn_mesh"])
+def test_a_failed_trace_write_exits_config_invalid_before_the_history(
+    tmp_path, capsys, writer, name
+):
+    # static_triangle's trace fits the file buffer, so the write fails on close
+    (tmp_path / f"{name}.trace.jsonl").symlink_to("/dev/full")
+    assert main(["run", name, "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+    assert capsys.readouterr() == ("", "config error: [Errno 28] No space left on device\n")
+    assert [path.name for path in tmp_path.iterdir()] == [f"{name}.trace.jsonl"]
+    assert len(writer.forks) == writer.forked
+    assert_no_child_left()
+
+
+def test_a_trace_path_that_cannot_be_opened_fails_before_any_fork(tmp_path, capsys, writer):
+    path = tmp_path / "static_triangle.trace.jsonl"
+    path.mkdir()
+    assert main(["run", "static_triangle", "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID
+    assert capsys.readouterr().err == f"config error: [Errno 21] Is a directory: '{path}'\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert writer.forks == []
+
+
+@pytest.mark.parametrize("error", [InternalInvariantError, KeyboardInterrupt])
+def test_a_check_that_raises_leaves_no_trace_and_no_child(
+    tmp_path, capsys, monkeypatch, writer, error
+):
+    def broken_check(*args):
+        raise error("the check broke")
+
+    monkeypatch.setattr(dynsync.cli, "check_trace", broken_check)
+    out = tmp_path / "out"
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "churn_mesh", "--out", str(out)])
+    else:
+        assert main(["run", "churn_mesh", "--out", str(out)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err == "internal invariant violated: the check broke\n"
+    assert list(out.iterdir()) == []
+    assert len(writer.forks) == writer.forked
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "ending, message",
+    [
+        (lambda: 1 / 0, "exited with status 255"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {signal.SIGKILL:d}"),
+    ],
+    ids=["raises", "killed"],
+)
+def test_a_forked_writer_that_ends_otherwise_is_an_internal_error(
+    tmp_path, capfd, monkeypatch, ending, message
+):
+    choose_writer(monkeypatch, 2)
+    monkeypatch.setattr(dynsync.cli, "write_trace", lambda trace, f: ending())
+    assert main(["run", "static_triangle", "--out", str(tmp_path)]) == EXIT_INTERNAL
+    err = capfd.readouterr().err
+    assert err.endswith(f"internal invariant violated: the trace writer {message}\n")
+    if message.startswith("exited"):
+        assert err.startswith("trace writer: ZeroDivisionError(")
+    assert not list(tmp_path.glob("*.h.json"))
+    assert_no_child_left()
 
 
 class TestSynthCommand:
@@ -515,3 +647,36 @@ def test_python_m_dynsync_runs_the_packaged_entry_point(tmp_path):
     listed = dynsync_m("scenarios")
     assert listed.returncode == EXIT_OK, listed.stderr
     assert listed.stdout.split() == ["churn_mesh", "edge_agreement_cases", "static_triangle"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_python_m_dynsync_on_one_cpu_writes_the_trace_without_forking(tmp_path):
+    src = str(Path(dynsync.cli.__file__).resolve().parents[1])
+    # imported at start-up, before dynsync: any fork in the command raises
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "sitecustomize.py").write_text(
+        "import os\n\n\ndef fork():\n    raise AssertionError('forked')\n\n\nos.fork = fork\n"
+    )
+    guarded = {**os.environ, "PYTHONPATH": os.pathsep.join([str(site), src])}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import os; os.fork()"], env=guarded, capture_output=True, text=True
+    )
+    assert "AssertionError: forked" in probe.stderr
+    cpu = min(os.sched_getaffinity(0))
+
+    def dynsync_run(out, env, preexec_fn=None):
+        ran = subprocess.run(
+            [sys.executable, "-m", "dynsync", "run", "churn_mesh", "--out", str(out)],
+            env=env, preexec_fn=preexec_fn, capture_output=True, text=True, timeout=300,
+        )
+        assert ran.returncode == EXIT_OK, ran.stderr
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    # the affinity is set in the child between fork and exec
+    pinned = dynsync_run(
+        tmp_path / "pinned", guarded, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})
+    )
+    free = dynsync_run(tmp_path / "free", {**os.environ, "PYTHONPATH": src})
+    assert pinned == free
+    assert sorted(free) == [f"churn_mesh{s}" for s in (".h.json", ".report.txt", ".trace.jsonl")]
