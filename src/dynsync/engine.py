@@ -4,9 +4,11 @@
 before the first stage. ``stage`` runs one stage on a ``Configuration``: fold
 the stage's disconnections into the per-node detectors, evaluate every
 node's single enabled action, run each activated node's against the
-stage-start snapshot (``pull_view`` builds each neighbor's), then land all
-local state replacements followed by all remote block writes (both are
-order-independent), and finally clear the detectors of the activated nodes.
+stage-start snapshot (a ``PortReads`` serves a handshake only what it asks
+for: ``pull_view`` builds a neighbor's view and ``pull_ack`` reads its ack
+bit alone), then land all local state replacements followed by all remote
+block writes (both are order-independent), and finally clear the detectors
+of the activated nodes.
 ``run`` folds ``stage`` over a graph's stages, with each stage's ports from
 ``tvg.port_step`` as ``graph.ports`` recorded them, and frames the events with
 a header and a footer.
@@ -106,6 +108,11 @@ class SchedulerPolicy:
         return stages
 
 
+def pull_ack(neighbor: NodeState, remote_port: int) -> int:
+    """The ack bit the node behind a port raised toward it, at stage start."""
+    return neighbor.acked >> remote_port & 1
+
+
 def pull_view(neighbor: NodeState, remote_port: int, neighbor_detector: int) -> PulledView:
     """Snapshot what the node behind a port exposes at stage start."""
     # positional, in field order: keywords double the cost of the build
@@ -113,12 +120,44 @@ def pull_view(neighbor: NodeState, remote_port: int, neighbor_detector: int) -> 
         neighbor.phase,
         neighbor.synch,
         remote_port,
-        neighbor.acked >> remote_port & 1,
+        pull_ack(neighbor, remote_port),
         neighbor.valid_ports,
         neighbor.phase_drops,
         neighbor_detector,
         neighbor.algo_state,
     )
+
+
+class PortReads:
+    """The reads ``handshake`` makes through node ``node``'s occupied ports,
+    served from one stage's start: ``maps`` and ``inverse`` are the stage's
+    port maps, and ``states`` and ``detectors`` are read before any of the
+    stage's writes land. Nothing is built until the handshake asks for it.
+    ``stage`` makes one per stage and points it at each handshaking node in
+    turn."""
+
+    __slots__ = ("states", "detectors", "maps", "inverse", "node")
+
+    def __init__(self, states, detectors, maps, inverse) -> None:
+        self.states, self.detectors, self.maps, self.inverse = states, detectors, maps, inverse
+        self.node = -1
+
+    def views(self) -> dict[int, PulledView]:
+        u, states, detectors, inverse = self.node, self.states, self.detectors, self.inverse
+        return {
+            port: pull_view(states[v], inverse[v][u], detectors[v])
+            for port, v in self.maps[u].items()
+        }
+
+    def view(self, port: int) -> PulledView | None:
+        v = self.maps[self.node].get(port)
+        if v is None:
+            return None
+        return pull_view(self.states[v], self.inverse[v][self.node], self.detectors[v])
+
+    def ack(self, port: int) -> int | None:
+        v = self.maps[self.node].get(port)
+        return None if v is None else pull_ack(self.states[v], self.inverse[v][self.node])
 
 
 class Configuration:
@@ -197,13 +236,11 @@ def stage(
 
     replacements: dict[int, NodeState] = {}
     writes: list[tuple[int, int]] = []  # (target node, target port)
+    reads = PortReads(states, detectors, maps, inverse)
     for u in activated:
         if kinds[u] is ActionKind.HANDSHAKE:
             occupied = maps[u]  # port -> neighbor
-            reads = {
-                port: pull_view(states[v], inverse[v][u], detectors[v])
-                for port, v in occupied.items()
-            }
+            reads.node = u
             new_state, write_ports, log = handshake(states[u], reads, detectors[u])
             for port in write_ports:
                 v = occupied.get(port)

@@ -17,8 +17,9 @@ the start of that stage; its own writes land at the end of the stage.
 """
 from __future__ import annotations
 
+import functools
 from enum import Enum
-from typing import Any, Mapping, NamedTuple
+from typing import Any, NamedTuple, Protocol
 
 # _BYTE_PORTS[b] is the set bits of the byte b, ascending; filled on first use
 _BYTE_PORTS: list[tuple[int, ...]] = []
@@ -120,8 +121,9 @@ class NodeState:
         self.pulled = {} if pulled is None else pulled
         self.algo_state = algo_state
 
-    def clone(self) -> "NodeState":
-        # every field but pulled is immutable, so only pulled is copied
+    def clone(self, pulled: dict[int, PulledView] | None = None) -> "NodeState":
+        """A copy holding ``pulled`` as its views, or a copy of this state's
+        when none is given; every other field is immutable and shared."""
         return NodeState(
             self.delta,
             self.synch,
@@ -132,7 +134,7 @@ class NodeState:
             self.valid_ports,
             self.phase_drops,
             self.committed_ports,
-            dict(self.pulled),
+            dict(self.pulled) if pulled is None else pulled,
             self.algo_state,
         )
 
@@ -164,30 +166,52 @@ def _is_stranger(view: PulledView, phase: int) -> bool:
     )
 
 
+class Reads(Protocol):
+    """What a handshake may read through its node's occupied ports, each as
+    of stage start. ``view`` and ``ack`` give None for an unoccupied port."""
+
+    def views(self) -> dict[int, PulledView]:
+        """A new dict of a view of every occupied port."""
+
+    def view(self, port: int) -> PulledView | None:
+        """The view of the node behind ``port``."""
+
+    def ack(self, port: int) -> int | None:
+        """Only the ack bit the node behind ``port`` raised toward this one."""
+
+
+def _unsupplied(port: int) -> ProtocolViolation:
+    return ProtocolViolation(f"port {port} is waited on but unoccupied; engine must supply it")
+
+
 def handshake(
     state: NodeState,
-    reads: Mapping[int, PulledView],
+    reads: Reads,
     detector: int,
 ) -> tuple[NodeState, tuple[int, ...], dict]:
     """Run the handshake action against stage-start snapshots.
 
-    ``reads`` must cover exactly the currently occupied ports; ``detector``
-    is this node's accumulated disconnection word at stage start. Returns the
-    replacement state, the local ports it blocked, through which a remote
-    block write must be sent (their edges are necessarily live this stage),
-    and a log payload for the trace.
+    An init handshake keeps ``reads.views()``, a view of every occupied
+    port, as its pulled views. A continue handshake reads nothing through a
+    port it no longer waits on; for a waited port it reads ``reads.ack``
+    when the stored view is in the current phase, and ``reads.view`` only
+    to repull a stale one. A waited port that is unoccupied is a harness
+    bug. ``detector`` is this node's accumulated disconnection word at
+    stage start. Returns the replacement state, the local ports it blocked,
+    through which a remote block write must be sent (their edges are
+    necessarily live this stage), and a log payload for the trace.
     """
-    new = state.clone()
-    pulled, phase = new.pulled, new.phase
+    phase = state.phase
     log: dict = {}
 
     if state.synch == 0:
         # Phase start: pull everything in sight, fix the wait set for the
         # whole phase, and begin handshaking.
-        new.pulled = pulled = dict(reads)
+        new = state.clone(reads.views())
+        pulled = new.pulled
         new.phase_drops = 0
         occupied = invalid = 0
-        for port, view in reads.items():
+        for port, view in pulled.items():
             bit = 1 << port
             occupied |= bit
             if _is_stranger(view, phase):
@@ -198,6 +222,8 @@ def handshake(
         waiting = ports_of(new.valid_ports)
         log["branch"] = "init"
     else:
+        new = state.clone()
+        pulled = new.pulled
         # the wait set once this stage's drops are absorbed: the ports to
         # refresh now and to ack or block below
         new.phase_drops |= detector
@@ -205,20 +231,21 @@ def handshake(
         refreshed: list[int] = []
         repulled: list[int] = []
         for port in waiting:
-            read = reads.get(port)
-            if read is None:
-                raise ProtocolViolation(
-                    f"port {port} is waited on but unoccupied; engine must supply it"
-                )
             stored = pulled[port]
             if stored.phase < phase:
                 # Partner was behind at the last pull; take a full new view.
+                read = reads.view(port)
+                if read is None:
+                    raise _unsupplied(port)
                 pulled[port] = read
                 repulled.append(port)
             else:
+                ack = reads.ack(port)
+                if ack is None:
+                    raise _unsupplied(port)
                 # an unchanged ack keeps the stored view as it is
-                if stored.ack != read.ack:
-                    pulled[port] = stored.with_ack(read.ack)
+                if stored.ack != ack:
+                    pulled[port] = stored.with_ack(ack)
                 refreshed.append(port)
         log["branch"] = "continue"
         log["repulled"] = repulled
@@ -282,6 +309,32 @@ def apply_remote_block(state: NodeState, port: int) -> None:
 PHASE_BYTES = 8  # fixed-width pulled-phase record in the canonical encoding
 # the canonical encoding stores delta, and each port index, in one byte
 MAX_DELTA = 255
+# how many distinct settled bodies ``serialize_sync_state`` keeps
+FOOTPRINT_MEMO_SIZE = 4096
+
+
+def _layout(
+    delta: int, synch: int, invalid: int, valid: int, drops: int, committed: int
+) -> bytearray:
+    # port p's record is body[2 + 12p : 14 + 12p]: acked, blocked, present,
+    # pulled ack, pulled phase, here all zero; the four words follow as
+    # length-prefixed sorted index lists
+    body = bytearray(2 + 12 * delta)
+    body[0], body[1] = synch, delta
+    for members in (invalid, valid, drops, committed):
+        ordered = ports_of(members)
+        body.append(len(ordered))
+        body += bytes(ordered)
+    return body
+
+
+@functools.lru_cache(maxsize=FOOTPRINT_MEMO_SIZE)
+def _settled_body(
+    delta: int, synch: int, invalid: int, valid: int, drops: int, committed: int
+) -> bytes:
+    """The body of a state with no pulled views and no ack or block bit,
+    such as every state an execute returns; runs repeat few of them."""
+    return bytes(_layout(delta, synch, invalid, valid, drops, committed))
 
 
 def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
@@ -291,32 +344,24 @@ def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
     The body holds one 12-byte record per port plus four words as sorted
     index lists, so its size is bounded by 16*delta + 6 for any reachable
     state. Pulled views contribute only the fields consulted after the
-    pulling stage: presence, phase, ack.
+    pulling stage: presence, phase, ack. A body without records, which
+    depends on delta, synch and the four words alone, comes from a memo
+    of the last ``FOOTPRINT_MEMO_SIZE`` distinct ones.
     """
     phase, delta = state.phase, state.delta
     phase_bytes = phase.to_bytes(max(1, (phase.bit_length() + 7) // 8), "big")
-    # port p's record is body[2 + 12p : 14 + 12p]: acked, blocked, present,
-    # pulled ack, pulled phase; ports outside 0..delta-1 have none
-    body = bytearray(2 + 12 * delta)
-    body[0], body[1] = state.synch & 1, delta
+    words = (state.invalid_ports, state.valid_ports, state.phase_drops, state.committed_ports)
+    if not (state.pulled or state.acked or state.blocked):
+        return phase_bytes, _settled_body(delta, state.synch & 1, *words)
+    body = _layout(delta, state.synch & 1, *words)
+    # ports outside 0..delta-1 have no record
     in_range = (1 << delta) - 1
     for offset, members in ((2, state.acked & in_range), (3, state.blocked & in_range)):
-        # an execute, the one action whose state a run serializes, clears both
-        if members:
-            for port in ports_of(members):
-                body[offset + 12 * port] = 1
+        for port in ports_of(members):
+            body[offset + 12 * port] = 1
     for port, view in state.pulled.items():
         if 0 <= port < delta:
             at = 4 + 12 * port
             body[at], body[at + 1] = 1, view.ack
             body[at + 2 : at + 2 + PHASE_BYTES] = view.phase.to_bytes(PHASE_BYTES, "big")
-    for members in (
-        state.invalid_ports,
-        state.valid_ports,
-        state.phase_drops,
-        state.committed_ports,
-    ):
-        ordered = ports_of(members)
-        body.append(len(ordered))
-        body += bytes(ordered)
     return phase_bytes, bytes(body)

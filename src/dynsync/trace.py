@@ -206,7 +206,9 @@ class TraceIndex:
     Each event's ``t``, each action's ``node`` and each execute's and init
     handshake's ``phase`` must be integers. Node u's k-th execute must be in
     phase k, after its k-th init handshake, in phase k too, its ``state`` a
-    string and its ``committed_map`` a list whose every neighbor is a node.
+    string and its ``committed_map`` a list whose every neighbor is a node
+    and whose ports are, in order, its ``committed`` list when that is a
+    list of integers.
 
     The lists hold the event dicts themselves, so an in-place edit of an
     event shows through the index, but an edit after the build is not
@@ -285,9 +287,11 @@ class TraceIndex:
                         raise ScenarioError(f"node {u}: no init handshake for completed phase {k}")
                     if type(ev["state"]) is not str:
                         raise ScenarioError(f"node {u} phase {k}: state is not a string")
-                    if type(ev["committed_map"]) is not list:
+                    committed_map = ev["committed_map"]
+                    if type(committed_map) is not list:
                         raise ScenarioError(f"node {u} phase {k}: committed_map is not a list")
-                    for entry in ev["committed_map"]:
+                    mapped = []
+                    for entry in committed_map:
                         if type(entry) is not list or len(entry) != 2 or type(entry[0]) is not int:
                             raise ScenarioError(
                                 f"node {u} phase {k}: committed_map entry {entry!r} is not a pair"
@@ -297,6 +301,19 @@ class TraceIndex:
                                 f"node {u} phase {k}: committed neighbor {entry[1]!r} "
                                 f"is not in 0..{n - 1}"
                             )
+                        mapped.append(entry[0])
+                    # the ports must be the committed list; check_sandwich
+                    # names a committed list that is not ints
+                    committed = ev.get("committed")
+                    if (
+                        mapped != committed
+                        and type(committed) is list
+                        and {int}.issuperset(map(type, committed))
+                    ):
+                        raise ScenarioError(
+                            f"node {u} phase {k}: committed_map ports {mapped} "
+                            f"are not the committed ports {committed}"
+                        )
                     executes[u].append(ev)
                     exec_stages[u].append(t)
                 elif action == "handshake":

@@ -5,7 +5,8 @@ separate from the packaged reference runner so the two can cross-check each
 other, and ``reference_ports`` a from-scratch port assignment. The builders
 below make small random-but-seeded fixtures. ``word`` and ``bits`` convert
 between a set of ports and the synchronizer's bit words (bit p for port p),
-by plain arithmetic, not by the package's own lookup.
+by plain arithmetic, not by the package's own lookup. ``ViewReads`` serves a
+handshake's reads from a plain dict of views.
 """
 import random
 
@@ -20,6 +21,22 @@ def word(ports) -> int:
 def bits(mask: int) -> frozenset[int]:
     """The ports whose bit is set in a bit word."""
     return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+class ViewReads(dict):
+    """Handshake reads served from a dict of views, port -> PulledView:
+    ``views`` copies the dict, ``view`` gives a port's view and ``ack`` its
+    ack, each None for a port the dict leaves out."""
+
+    def views(self):
+        return dict(self)
+
+    def view(self, port):
+        return self.get(port)
+
+    def ack(self, port):
+        view = self.get(port)
+        return None if view is None else view.ack
 
 
 def brute_force_run(algo, edge_sets, n, inputs=None):

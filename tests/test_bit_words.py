@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dynsync
-from conftest import bits, word
+from conftest import ViewReads, bits, word
+from dynsync import synchronizer
 from dynsync.algorithms import make_algorithm
 from dynsync.synchronizer import (
+    FOOTPRINT_MEMO_SIZE,
     PHASE_BYTES,
     ActionKind,
     NodeState,
@@ -265,7 +267,8 @@ def test_handshake_equals_the_set_transcription(case, data):
     detector = data.draw(st.frozensets(port))
     node = encode(state)
     want = outcome(set_handshake, state, reads, detector)
-    got = outcome(handshake, node, {p: encode_view(v) for p, v in reads.items()}, word(detector))
+    served = ViewReads({p: encode_view(v) for p, v in reads.items()})
+    got = outcome(handshake, node, served, word(detector))
     assert decode(node) == state  # the input state is left alone
     if want[0] != "ok":
         assert got == want
@@ -286,6 +289,44 @@ def test_execute_synch_equals_the_set_transcription(case, algo):
     want_new, want_log = set_execute(state, algo)
     assert_same_state(new, want_new)
     assert list(log.items()) == list(want_log.items())
+
+
+def memo_calls() -> int:
+    info = synchronizer._settled_body.cache_info()
+    return info.hits + info.misses
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=set_states(), algo=st.sampled_from(["counter", "max-flood"]))
+def test_a_post_execute_footprint_comes_from_the_memo_and_equals_the_transcription(case, algo):
+    state, _, _ = case
+    algo = make_algorithm(algo)
+    new, _ = execute_synch(encode(state), algo)
+    want_new, _ = set_execute(state, algo)
+    before = memo_calls()
+    assert serialize_sync_state(new) == set_serialize(want_new)
+    assert memo_calls() == before + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=set_states(), phases=st.lists(st.integers(0, 2**70), min_size=2, max_size=2))
+def test_a_memoized_body_is_shared_across_phases_and_the_phase_bytes_are_not(case, phases):
+    state, _, _ = case
+    settled = dict(state, acked=frozenset(), blocked=frozenset(), pulled={})
+    (phase_a, body_a), (phase_b, body_b) = (
+        serialize_sync_state(encode(dict(settled, phase=phase))) for phase in phases
+    )
+    assert body_a is body_b
+    assert (phase_a, body_a) == set_serialize(dict(settled, phase=phases[0]))
+    assert (phase_b, body_b) == set_serialize(dict(settled, phase=phases[1]))
+
+
+def test_the_footprint_memo_holds_no_more_than_its_bound():
+    delta = 16
+    for committed in range(FOOTPRINT_MEMO_SIZE + 100):
+        state = NodeState(delta, phase=committed, committed_ports=committed)
+        assert serialize_sync_state(state) == set_serialize(decode(state))
+    assert synchronizer._settled_body.cache_info().currsize == FOOTPRINT_MEMO_SIZE
 
 
 @settings(max_examples=100, deadline=None)

@@ -352,7 +352,8 @@ def test_a_failed_extraction_is_the_first_check_and_fails_the_run(tmp_path, monk
     def one_sided_run(*args, **kwargs):
         trace = original(*args, **kwargs)
         ev = next(ev for ev in trace.events if ev.get("committed_map"))
-        _, neighbor = ev["committed_map"].pop()
+        port, neighbor = ev["committed_map"].pop()
+        ev["committed"].remove(port)
         dropped.append((ev["node"], ev["phase"], neighbor))
         return trace
 

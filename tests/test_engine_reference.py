@@ -4,14 +4,20 @@ disconnections found by scanning the stage before's maps, detectors kept as
 plain sets and turned into bit words only where the synchronizer reads them,
 and every read taken from a deep copy of the stage-start states.
 The two must give event-for-event equal traces and equal footers on small
-drawn graphs, activation sets and algorithms."""
+drawn graphs, activation sets and algorithms. On the same runs and on the
+bundled scenarios, the engine must build only the views and read only the
+acks that its handshake events record."""
 import copy
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, reference_ports, word
+from dynsync import engine
 from dynsync.algorithms import make_algorithm
+from dynsync.cli import bundled_scenarios, load_config
 from dynsync.engine import SchedulerPolicy, run
 from dynsync.synchronizer import (
     ActionKind,
@@ -23,6 +29,40 @@ from dynsync.synchronizer import (
     serialize_sync_state,
 )
 from dynsync.tvg import TimeVaryingGraph, edge
+
+
+class StartReads:
+    """A handshake's reads through its occupied ports, ``behind`` (port ->
+    (neighbor, neighbor's port back)), each taken when asked for from a deep
+    copy of the stage-start states and detectors."""
+
+    def __init__(self, start, start_detectors, behind):
+        self.start, self.start_detectors, self.behind = start, start_detectors, behind
+
+    def views(self):
+        return {port: self.view(port) for port in self.behind}
+
+    def view(self, port):
+        if port not in self.behind:
+            return None
+        v, back = self.behind[port]
+        seen = copy.deepcopy(self.start[v])
+        return PulledView(
+            seen.phase,
+            seen.synch,
+            back,
+            1 if back in bits(seen.acked) else 0,
+            seen.valid_ports,
+            seen.phase_drops,
+            word(self.start_detectors[v]),
+            seen.algo_state,
+        )
+
+    def ack(self, port):
+        if port not in self.behind:
+            return None
+        v, back = self.behind[port]
+        return 1 if back in bits(copy.deepcopy(self.start[v]).acked) else 0
 
 
 def reference_run(graph, script, algo, inputs=None):
@@ -70,21 +110,11 @@ def reference_run(graph, script, algo, inputs=None):
         for u in activated:
             own = copy.deepcopy(start[u])
             if actions[u] is ActionKind.HANDSHAKE:
-                reads, behind = {}, {}
+                behind = {}
                 for port, v in maps[t][u].items():
                     (back,) = [q for q, w in maps[t][v].items() if w == u]
                     behind[port] = (v, back)
-                    seen = copy.deepcopy(start[v])
-                    reads[port] = PulledView(
-                        seen.phase,
-                        seen.synch,
-                        back,
-                        1 if back in bits(seen.acked) else 0,
-                        seen.valid_ports,
-                        seen.phase_drops,
-                        word(start_detectors[v]),
-                        seen.algo_state,
-                    )
+                reads = StartReads(start, start_detectors, behind)
                 new, blocked, log = handshake(own, reads, word(start_detectors[u]))
                 writes += [behind[port] for port in blocked]
                 event = {
@@ -169,3 +199,53 @@ def test_run_equals_the_stage_by_stage_reference(case):
     events, footer = reference_run(graph, script, algo, inputs)
     assert trace.events == events
     assert trace.footer == footer
+
+
+def counted_run(graph, scheduler, algo, inputs=None):
+    """(trace, views built, acks read alone) of a run whose every call of
+    ``pull_view`` and ``pull_ack`` is counted. A view reads its own ack
+    through ``pull_ack``, so the acks read alone are the ``pull_ack`` calls
+    that no view made."""
+    calls = {"view": 0, "ack": 0}
+
+    def counting(kind, read):
+        def counted(*args):
+            calls[kind] += 1
+            return read(*args)
+
+        return counted
+
+    with mock.patch.object(engine, "pull_view", counting("view", engine.pull_view)), \
+            mock.patch.object(engine, "pull_ack", counting("ack", engine.pull_ack)):
+        trace = run(graph, scheduler, algo, inputs=inputs)
+    return trace, calls["view"], calls["ack"] - calls["view"]
+
+
+def assert_reads_are_what_the_events_record(trace, views, acks):
+    """Views: one per occupied port of each init handshake, one per repull;
+    ack reads: one per refreshed port of each continue handshake."""
+    handshakes = [ev for ev in trace.events if ev.get("action") == "handshake"]
+    inits = [ev for ev in handshakes if ev["branch"] == "init"]
+    continues = [ev for ev in handshakes if ev["branch"] == "continue"]
+    assert views == sum(len(ev["port_map"]) for ev in inits) + sum(
+        len(ev["repulled"]) for ev in continues
+    )
+    assert acks == sum(len(ev["ack_refreshed"]) for ev in continues)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=scripted_runs())
+def test_a_drawn_run_reads_only_what_its_handshakes_record(case):
+    graph, script, algo, inputs = case
+    scheduler = SchedulerPolicy(kind="scripted", script=script)
+    assert_reads_are_what_the_events_record(*counted_run(graph, scheduler, algo, inputs))
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_a_bundled_run_reads_only_what_its_handshakes_record(name):
+    config = load_config(name)
+    algo, inputs = config.build_algorithm()
+    trace, views, acks = counted_run(config.build_graph(), config.build_scheduler(), algo, inputs)
+    assert_reads_are_what_the_events_record(trace, views, acks)
+    # every scenario has continue handshakes that read acks, not views
+    assert acks > 0

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, word
+from conftest import ViewReads, bits, word
 from dynsync.algorithms import CounterAlgo
 from dynsync.synchronizer import (
     PHASE_BYTES,
@@ -125,7 +125,7 @@ class TestPulledView:
 class TestInitBranch:
     def test_pulls_everything_and_fixes_wait_set(self):
         s = NodeState(2, algo_state=0)
-        reads = {0: view(remote_port=1), 1: view(remote_port=0)}
+        reads = ViewReads({0: view(remote_port=1), 1: view(remote_port=0)})
         new, writes, log = handshake(s, reads, 0)
         assert log["branch"] == "init"
         assert new.synch == 1
@@ -147,20 +147,20 @@ class TestInitBranch:
     )
     def test_stranger_classification(self, neighbor, stranger):
         s = NodeState(1, algo_state=0)
-        new, _, _ = handshake(s, {0: view(**neighbor)}, 0)
+        new, _, _ = handshake(s, ViewReads({0: view(**neighbor)}), 0)
         assert (0 in bits(new.invalid_ports)) is stranger
         assert (0 in bits(new.valid_ports)) is (not stranger)
 
     def test_same_stage_partner_with_ack_gets_blocked_immediately(self):
         s = NodeState(1, algo_state=0)
-        new, writes, log = handshake(s, {0: view(valid=(0,), ack=1)}, 0)
+        new, writes, log = handshake(s, ViewReads({0: view(valid=(0,), ack=1)}), 0)
         assert 0 in bits(new.blocked)
         assert writes == (0,)
         assert log["blocks_set"] == [0]
 
     def test_partner_without_ack_gets_acked(self):
         s = NodeState(1, algo_state=0)
-        new, writes, log = handshake(s, {0: view()}, 0)
+        new, writes, log = handshake(s, ViewReads({0: view()}), 0)
         assert 0 in bits(new.acked)
         assert 0 not in bits(new.blocked)
         assert writes == ()
@@ -169,14 +169,14 @@ class TestInitBranch:
     def test_phase_drops_reset_at_phase_start(self):
         s = NodeState(1, algo_state=0)
         s.phase_drops = word({0})
-        new, _, _ = handshake(s, {}, 0)
+        new, _, _ = handshake(s, ViewReads({}), 0)
         assert bits(new.phase_drops) == set()
 
 
 class TestContinueBranch:
     def started(self):
         s = NodeState(2, algo_state=0)
-        reads = {0: view(algo_state=10), 1: view(algo_state=20)}
+        reads = ViewReads({0: view(algo_state=10), 1: view(algo_state=20)})
         new, _, _ = handshake(s, reads, 0)
         return new
 
@@ -185,7 +185,7 @@ class TestContinueBranch:
         s.phase = 1  # as if the node advanced while port 0's partner lagged
         s.synch = 1
         fresh = view(phase=1, ack=1, algo_state=99)
-        new, _, log = handshake(s, {0: fresh, 1: view(phase=1, algo_state=77)}, 0)
+        new, _, log = handshake(s, ViewReads({0: fresh, 1: view(phase=1, algo_state=77)}), 0)
         assert log["branch"] == "continue"
         assert set(log["repulled"]) == {0, 1}
         assert new.pulled[0] == fresh
@@ -193,7 +193,7 @@ class TestContinueBranch:
     def test_current_view_only_refreshes_ack(self):
         s = self.started()
         bait = view(ack=1, algo_state=999)  # same phase, newer algorithm state
-        new, _, log = handshake(s, {0: bait, 1: view()}, 0)
+        new, _, log = handshake(s, ViewReads({0: bait, 1: view()}), 0)
         assert log["ack_refreshed"] == [0, 1]
         assert new.pulled[0].ack == 1
         # the phase-start snapshot must survive the refresh
@@ -201,19 +201,47 @@ class TestContinueBranch:
 
     def test_detector_absorbed_into_phase_drops(self):
         s = self.started()
-        new, _, log = handshake(s, {1: view()}, word({0}))
+        new, _, log = handshake(s, ViewReads({1: view()}), word({0}))
         assert bits(new.phase_drops) == {0}
         assert log["drops_absorbed"] == [0]
         # port 0 is excused, so only port 1 needed a read
 
+    def test_reads_only_what_each_waited_port_needs(self):
+        """A stale stored view is repulled whole, a current one needs only
+        its partner's ack, and a port no longer waited on is not read."""
+        calls = []
+
+        class Recording(ViewReads):
+            def view(self, port):
+                calls.append(("view", port))
+                return super().view(port)
+
+            def ack(self, port):
+                calls.append(("ack", port))
+                return super().ack(port)
+
+        s = NodeState(3, algo_state=0)
+        s, _, _ = handshake(s, ViewReads({p: view() for p in range(3)}), 0)
+        s.phase = 1  # as if the node advanced while its partners lagged
+        s.pulled[1] = view(phase=1)
+        reads = Recording({p: view(phase=1, ack=1) for p in range(3)})
+        new, _, log = handshake(s, reads, word({2}))
+        assert calls == [("view", 0), ("ack", 1)]
+        assert (log["repulled"], log["ack_refreshed"]) == ([0], [1])
+        assert new.pulled[0] == reads[0]
+        assert new.pulled[1] == view(phase=1, ack=1)
+
     def test_waited_port_missing_from_reads_is_a_harness_bug(self):
         s = self.started()
         with pytest.raises(ProtocolViolation):
-            handshake(s, {1: view()}, 0)
+            handshake(s, ViewReads({1: view()}), 0)
+        s.phase = 1  # port 0's view is stale now, so it would be repulled
+        with pytest.raises(ProtocolViolation, match="port 0 is waited on but unoccupied"):
+            handshake(s, ViewReads({1: view(phase=1)}), 0)
 
     def test_second_round_blocks_after_seeing_ack(self):
         s = self.started()
-        new, writes, log = handshake(s, {0: view(ack=1), 1: view()}, 0)
+        new, writes, log = handshake(s, ViewReads({0: view(ack=1), 1: view()}), 0)
         assert 0 in bits(new.blocked)
         assert writes == (0,)
         assert 1 in bits(new.acked)
@@ -279,9 +307,11 @@ def test_two_nodes_handshake_to_execution_in_three_stages():
     b = NodeState(1, algo_state=algo.init(1))
 
     def read(other):
-        return {0: view(phase=other.phase, synch=other.synch, remote_port=0,
-                        ack=int(0 in bits(other.acked)), valid=bits(other.valid_ports),
-                        drops=bits(other.phase_drops), algo_state=other.algo_state)}
+        return ViewReads({0: view(phase=other.phase, synch=other.synch, remote_port=0,
+                                  ack=int(0 in bits(other.acked)),
+                                  valid=bits(other.valid_ports),
+                                  drops=bits(other.phase_drops),
+                                  algo_state=other.algo_state)})
 
     # stage 0: both init against each other's stage-start image
     ra, rb = read(b), read(a)

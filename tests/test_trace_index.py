@@ -11,7 +11,7 @@ from dynsync.algorithms import make_algorithm
 from dynsync.cli import load_config
 from dynsync.engine import SchedulerPolicy, run
 from dynsync.trace import RunTrace, TraceIndex, fairness_audit
-from dynsync.tvg import ScenarioError, generate
+from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
 from dynsync.verify import (
     check_correctness,
     check_liveness,
@@ -462,6 +462,23 @@ def test_committed_map_entry_that_is_not_a_pair_is_named(entry):
     ev = rows[first_commit(rows)]
     ev["committed_map"][0] = entry
     message = f"node {ev['node']} phase {ev['phase']}: committed_map entry {entry!r} is not a pair"
+    assert_every_check_raises(encode(header, rows), algo, re.escape(message))
+
+
+def test_committed_map_ports_that_are_not_the_committed_list_are_named():
+    """Node 1 idles once the edge is gone after stage 5, so phase 5 of node
+    0 is past the phases that extraction compares; a port added to its
+    committed_map, naming node 0 itself, is still named."""
+    graph = TimeVaryingGraph(2, 1, (frozenset({(0, 1)}),) * 6 + (frozenset(),) * 8)
+    script = ((0, 1),) * 6 + ((0,),) * 8
+    algo = make_algorithm("counter")
+    trace = run(graph, SchedulerPolicy(kind="scripted", script=script), algo)
+    assert trace.footer["final_phases"] == [6, 2]
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    ev = [ev for ev in rows if ev.get("action") == "execute" and ev["node"] == 0][-1]
+    assert (ev["phase"], ev["committed"], ev["committed_map"]) == (5, [], [])
+    ev["committed_map"].append([1, 0])
+    message = "node 0 phase 5: committed_map ports [1] are not the committed ports []"
     assert_every_check_raises(encode(header, rows), algo, re.escape(message))
 
 

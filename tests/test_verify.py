@@ -64,7 +64,8 @@ class TestExtract:
 def reference_extract(trace, ports=None):
     """extract_H's docstring by brute force over the event list. Node u's
     i-th execute commits phase i, and the nodes its committed_map names;
-    every commit must be mutual between nodes that both completed the phase;
+    the map's ports must be the execute's committed list; every commit must
+    be mutual between nodes that both completed the phase;
     with ports, every init handshake carries a port_map, its pairs sorted,
     equal to the assignment's; each phase up to the minimum completed count
     is the set of committed edges, no node above the degree bound."""
@@ -74,6 +75,14 @@ def reference_extract(trace, ports=None):
         for u in range(n)
     ]
     completed = [len(evs) for evs in executes]
+    for ev in trace.events:
+        if ev.get("action") == "execute":
+            mapped = [p for p, _ in ev["committed_map"]]
+            if mapped != ev["committed"]:
+                raise ScenarioError(
+                    f"node {ev['node']} phase {ev['phase']}: committed_map ports {mapped} "
+                    f"are not the committed ports {ev['committed']}"
+                )
 
     def partners(u, i):
         return [v for _, v in executes[u][i]["committed_map"]]
@@ -116,7 +125,8 @@ def extraction_outcome(extract, trace, ports):
 def forged_runs(draw):
     """A scripted run of up to 5 nodes and 14 stages, then, maybe, one forged
     execute or init: a committed neighbor dropped or added (the node itself
-    included), or a port_map removed or reversed."""
+    included) with its port in ``committed`` too, a port added to the
+    committed_map alone, or a port_map removed or reversed."""
     n = draw(st.integers(1, 5))
     delta = draw(st.integers(1, 3))
     horizon = draw(st.integers(1, 14))
@@ -136,13 +146,17 @@ def forged_runs(draw):
     trace = run(graph, SchedulerPolicy(kind="scripted", script=script), make_algorithm("counter"))
     executes = [ev for ev in trace.events if ev.get("action") == "execute"]
     inits = [ev for ev in trace.events if ev.get("branch") == "init"]
-    forge = draw(st.sampled_from(["none", "drop", "add", "port_map"]))
+    forge = draw(st.sampled_from(["none", "drop", "add", "map_only", "port_map"]))
     if forge == "drop" and any(ev["committed_map"] for ev in executes):
         ev = draw(st.sampled_from([ev for ev in executes if ev["committed_map"]]))
-        del ev["committed_map"][draw(st.integers(0, len(ev["committed_map"]) - 1))]
-    elif forge == "add" and executes:
+        at = draw(st.integers(0, len(ev["committed_map"]) - 1))
+        del ev["committed_map"][at], ev["committed"][at]
+    elif forge in ("add", "map_only") and executes:
         ev = draw(st.sampled_from(executes))
-        ev["committed_map"].append([draw(st.integers(0, delta)), draw(st.integers(0, n - 1))])
+        port = draw(st.integers(0, delta))
+        ev["committed_map"].append([port, draw(st.integers(0, n - 1))])
+        if forge == "add":
+            ev["committed"].append(port)
     elif forge == "port_map" and inits:
         ev = draw(st.sampled_from(inits))
         if len(ev["port_map"]) > 1:
@@ -323,10 +337,12 @@ class TestLiveness:
 
 class TestMutationSelfTest:
     def test_skipping_the_ack_precondition_is_caught(self, monkeypatch):
-        """Fault injection: an engine whose pulls always claim the partner
-        already acked commits edges one-sidedly under churn. At least one
-        seed must trip a verifier; a harness that stays green against this
-        mutant would be vacuous."""
+        """Fault injection: an engine whose reads always claim the partner
+        already acked, in every pulled view and every ack read alone,
+        commits edges one-sidedly under churn. Every seed's trace must
+        differ from the honest run's, and at least one seed must trip a
+        verifier; a harness that stays green against this mutant would be
+        vacuous."""
         honest_pull = engine_mod.pull_view
 
         def lying_pull(neighbor, remote_port, neighbor_detector):
@@ -334,9 +350,12 @@ class TestMutationSelfTest:
 
         caught = 0
         for seed in range(10):
+            honest, _, _ = run_churn(seed, horizon=60)
             with monkeypatch.context() as m:
                 m.setattr(engine_mod, "pull_view", lying_pull)
+                m.setattr(engine_mod, "pull_ack", lambda neighbor, remote_port: 1)
                 trace, ports, algo = run_churn(seed, horizon=60)
+            assert trace.events != honest.events
             try:
                 ex = extract_H(trace, ports)
             except SymmetryViolation:
