@@ -11,66 +11,56 @@ and the run loop), ``trace`` (the trace format, its checks and index, and
 the fairness audit), ``verify`` (the checkers), ``demo`` (the
 model-separation demo) and ``cli`` (the scenario command line). ``trace``
 and ``verify`` import neither ``engine`` nor ``synchronizer``, so the
-checkers stay independent of the code they check. Every public name is
-re-exported here.
+checkers stay independent of the code they check.
+
+Importing the package loads none of them. Each public name is listed once,
+with its module, in ``_MODULE_OF``: ``dynsync.run`` or ``from dynsync import
+run`` imports ``engine`` on first use, so a checker that imports
+``dynsync.verify`` loads only what ``verify`` imports.
 """
 
-from .algorithms import (
-    CounterAlgo,
-    HistoryHashAlgo,
-    MaxFloodAlgo,
-    SyncAlgorithm,
-    make_algorithm,
-    reference_run,
-)
-from .cli import build_weak_nontriviality
-from .demo import extended_model_demo, impossibility_demo
-from .engine import InternalInvariantError, SchedulerPolicy, run
-from .synchronizer import NodeState, ProtocolViolation, serialize_sync_state
-from .trace import RunTrace, fairness_audit
-from .tvg import (
-    PortAssignment,
-    ScenarioError,
-    TimeVaryingGraph,
-    assign_ports,
-    generate,
-)
-from .verify import (
-    SymmetryViolation,
-    check_correctness,
-    check_liveness,
-    check_strong_nontriviality,
-    extract_H,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CounterAlgo",
-    "HistoryHashAlgo",
-    "InternalInvariantError",
-    "MaxFloodAlgo",
-    "NodeState",
-    "PortAssignment",
-    "ProtocolViolation",
-    "RunTrace",
-    "ScenarioError",
-    "SchedulerPolicy",
-    "SymmetryViolation",
-    "SyncAlgorithm",
-    "TimeVaryingGraph",
-    "assign_ports",
-    "build_weak_nontriviality",
-    "check_correctness",
-    "check_liveness",
-    "check_strong_nontriviality",
-    "extended_model_demo",
-    "extract_H",
-    "fairness_audit",
-    "generate",
-    "impossibility_demo",
-    "make_algorithm",
-    "reference_run",
-    "run",
-    "serialize_sync_state",
-]
+# each public name and the module that defines it
+_MODULE_OF = {
+    "CounterAlgo": "algorithms",
+    "HistoryHashAlgo": "algorithms",
+    "InternalInvariantError": "engine",
+    "MaxFloodAlgo": "algorithms",
+    "NodeState": "synchronizer",
+    "PortAssignment": "tvg",
+    "ProtocolViolation": "synchronizer",
+    "RunTrace": "trace",
+    "ScenarioError": "tvg",
+    "SchedulerPolicy": "engine",
+    "SymmetryViolation": "verify",
+    "SyncAlgorithm": "algorithms",
+    "TimeVaryingGraph": "tvg",
+    "assign_ports": "tvg",
+    "build_weak_nontriviality": "cli",
+    "check_correctness": "verify",
+    "check_liveness": "verify",
+    "check_strong_nontriviality": "verify",
+    "extended_model_demo": "demo",
+    "extract_H": "verify",
+    "fairness_audit": "trace",
+    "generate": "tvg",
+    "impossibility_demo": "demo",
+    "make_algorithm": "algorithms",
+    "reference_run": "algorithms",
+    "run": "engine",
+    "serialize_sync_state": "synchronizer",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """A public name, from its module, imported on first use and then kept
+    in the package's namespace (PEP 562)."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value

@@ -110,10 +110,6 @@ class SyncExecution(NamedTuple):
     initial: list[Any]
     after_step: list[list[Any]]
 
-    def state(self, node: int, step: int) -> Any:
-        """State after the given step; step -1 means the initial state."""
-        return self.initial[node] if step < 0 else self.after_step[step][node]
-
 
 def reference_run(
     algo: SyncAlgorithm,

@@ -273,10 +273,6 @@ def stage(
                 "phase": states[u].phase,
                 "committed_map": [[p, last_init_map[u][p]] for p in log["committed"]],
                 "state": algo.serialize(new_state.algo_state).hex(),
-                "pulled": [
-                    [p, algo.serialize(states[u].pulled[p].algo_state).hex()]
-                    for p in log["committed"]
-                ],
                 "mem_phase": phase_bytes.hex(),
                 "mem_body": body.hex(),
                 **log,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from enum import Enum
+from operator import itemgetter
 from typing import Any, NamedTuple, Protocol
 
 # _BYTE_PORTS[b] is the set bits of the byte b, ascending; filled on first use
@@ -276,13 +277,31 @@ def handshake(
     return new, tuple(blocks_set), log
 
 
+# the sort key of an (encoding, state) pair
+_encoding = itemgetter(0)
+
+
 def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
     """Commit the phase: feed the wrapped algorithm the views behind every
     blocked port of the wait-set origin (a blocked port that later dropped
-    still counts), then advance and reset all per-port bits."""
+    still counts), then advance and reset all per-port bits.
+
+    Each committed neighbor's algorithm state is encoded once: the step gets
+    the states ordered by those bytes, as ``algo.sort_states`` orders them,
+    and the log's ``pulled`` lists them by port."""
     committed_ports = state.valid_ports & state.blocked
     committed = ports_of(committed_ports)
-    neighbor_states = algo.sort_states(state.pulled[p].algo_state for p in committed)
+    pulled, serialize = state.pulled, algo.serialize
+    keyed: list[tuple[bytes, Any]] = []  # (encoding, state) per committed port
+    pulled_log: list[list] = []
+    for port in committed:
+        neighbor = pulled[port].algo_state
+        encoded = serialize(neighbor)
+        keyed.append((encoded, neighbor))
+        pulled_log.append([port, encoded.hex()])
+    # a stable sort on the bytes alone: states with equal bytes keep port order
+    keyed.sort(key=_encoding)
+    neighbor_states = [neighbor for _, neighbor in keyed]
     new = NodeState(
         delta=state.delta,
         phase=state.phase + 1,
@@ -296,6 +315,7 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
         "committed": committed,
         "valid": ports_of(state.valid_ports),
         "phase_drops": ports_of(state.phase_drops),
+        "pulled": pulled_log,
     }
     return new, log
 
@@ -313,28 +333,23 @@ MAX_DELTA = 255
 FOOTPRINT_MEMO_SIZE = 4096
 
 
-def _layout(
+@functools.lru_cache(maxsize=FOOTPRINT_MEMO_SIZE)
+def _settled_body(
     delta: int, synch: int, invalid: int, valid: int, drops: int, committed: int
-) -> bytearray:
-    # port p's record is body[2 + 12p : 14 + 12p]: acked, blocked, present,
-    # pulled ack, pulled phase, here all zero; the four words follow as
-    # length-prefixed sorted index lists
+) -> bytes:
+    """The body of a state with no pulled views and no ack or block bit,
+    such as every state an execute returns; runs repeat few of them.
+
+    Port p's record is body[2 + 12p : 14 + 12p]: acked, blocked, present,
+    pulled ack, pulled phase, here all zero; the four words follow as
+    length-prefixed sorted index lists."""
     body = bytearray(2 + 12 * delta)
     body[0], body[1] = synch, delta
     for members in (invalid, valid, drops, committed):
         ordered = ports_of(members)
         body.append(len(ordered))
         body += bytes(ordered)
-    return body
-
-
-@functools.lru_cache(maxsize=FOOTPRINT_MEMO_SIZE)
-def _settled_body(
-    delta: int, synch: int, invalid: int, valid: int, drops: int, committed: int
-) -> bytes:
-    """The body of a state with no pulled views and no ack or block bit,
-    such as every state an execute returns; runs repeat few of them."""
-    return bytes(_layout(delta, synch, invalid, valid, drops, committed))
+    return bytes(body)
 
 
 def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
@@ -344,16 +359,18 @@ def serialize_sync_state(state: NodeState) -> tuple[bytes, bytes]:
     The body holds one 12-byte record per port plus four words as sorted
     index lists, so its size is bounded by 16*delta + 6 for any reachable
     state. Pulled views contribute only the fields consulted after the
-    pulling stage: presence, phase, ack. A body without records, which
+    pulling stage: presence, phase, ack. The body without records, which
     depends on delta, synch and the four words alone, comes from a memo
-    of the last ``FOOTPRINT_MEMO_SIZE`` distinct ones.
+    of the last ``FOOTPRINT_MEMO_SIZE`` distinct ones; a state with records
+    copies it and sets them.
     """
     phase, delta = state.phase, state.delta
     phase_bytes = phase.to_bytes(max(1, (phase.bit_length() + 7) // 8), "big")
     words = (state.invalid_ports, state.valid_ports, state.phase_drops, state.committed_ports)
+    settled = _settled_body(delta, state.synch & 1, *words)
     if not (state.pulled or state.acked or state.blocked):
-        return phase_bytes, _settled_body(delta, state.synch & 1, *words)
-    body = _layout(delta, state.synch & 1, *words)
+        return phase_bytes, settled
+    body = bytearray(settled)
     # ports outside 0..delta-1 have no record
     in_range = (1 << delta) - 1
     for offset, members in ((2, state.acked & in_range), (3, state.blocked & in_range)):

@@ -78,9 +78,6 @@ def _line(obj: Any) -> str:
     return "".join(chunks)
 
 
-# the C scanner json.loads runs; it parses one JSON value from an offset
-_scan = json.JSONDecoder().scan_once
-
 # A trace is parsed in blocks of whole lines of about this many bytes.
 BLOCK_BYTES = 1 << 16
 
@@ -146,17 +143,9 @@ def _rows_by_line(data: bytes) -> Iterator[tuple[int, Any]]:
         if not line:
             continue
         try:
-            row, end = _scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):
-            # not one whole value from the first character: json.loads
-            # either accepts the line (say, padded with spaces) or says
-            # what is wrong with it
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ScenarioError(f"trace line {k}: {exc}") from None
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise ScenarioError(f"trace line {k}: {exc}") from None
         yield k, row
 
 
@@ -206,9 +195,9 @@ class TraceIndex:
     Each event's ``t``, each action's ``node`` and each execute's and init
     handshake's ``phase`` must be integers. Node u's k-th execute must be in
     phase k, after its k-th init handshake, in phase k too, its ``state`` a
-    string and its ``committed_map`` a list whose every neighbor is a node
-    and whose ports are, in order, its ``committed`` list when that is a
-    list of integers.
+    string, its ``committed`` a list of integers, and its ``committed_map``
+    a list whose every neighbor is a node and whose ports are, in order,
+    its ``committed`` list.
 
     The lists hold the event dicts themselves, so an in-place edit of an
     event shows through the index, but an edit after the build is not
@@ -302,14 +291,12 @@ class TraceIndex:
                                 f"is not in 0..{n - 1}"
                             )
                         mapped.append(entry[0])
-                    # the ports must be the committed list; check_sandwich
-                    # names a committed list that is not ints
-                    committed = ev.get("committed")
-                    if (
-                        mapped != committed
-                        and type(committed) is list
-                        and {int}.issuperset(map(type, committed))
-                    ):
+                    # the ports must be the committed list, which
+                    # check_sandwich reads too
+                    committed = ev["committed"]
+                    if type(committed) is not list or not {int}.issuperset(map(type, committed)):
+                        raise ScenarioError(f"node {u} phase {k}: committed is not an int list")
+                    if mapped != committed:
                         raise ScenarioError(
                             f"node {u} phase {k}: committed_map ports {mapped} "
                             f"are not the committed ports {committed}"

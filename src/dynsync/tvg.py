@@ -80,13 +80,10 @@ class TimeVaryingGraph:
         """The graph's port assignment, built on first use."""
         return assign_ports(self)
 
-    def edges_at(self, t: int) -> frozenset[Edge]:
+    def neighbors_at(self, t: int, u: int) -> set[int]:
         if t < 0:
             raise IndexError(t)
-        return self.stages[t]
-
-    def neighbors_at(self, t: int, u: int) -> set[int]:
-        return {w for a, b in self.edges_at(t) for w in (a, b) if u in (a, b) and w != u}
+        return {w for a, b in self.stages[t] for w in (a, b) if u in (a, b) and w != u}
 
 
 def generate(

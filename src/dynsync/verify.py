@@ -123,12 +123,13 @@ class InvariantReport(NamedTuple):
 
 def check_sandwich(trace: RunTrace) -> InvariantReport:
     """At every phase commit: the ports still waited on are all committed,
-    and nothing outside the phase's wait-set origin is."""
+    and nothing outside the phase's wait-set origin is. The index checks
+    ``committed``."""
     checked, failures = 0, []
     for u, events in enumerate(trace.index.executes):
         for ev in events:
             checked += 1
-            for key in ("committed", "valid", "phase_drops"):
+            for key in ("valid", "phase_drops"):
                 if type(ev.get(key)) is not list or not {int}.issuperset(map(type, ev[key])):
                     raise ScenarioError(f"node {u} phase {ev['phase']}: {key} is not an int list")
             committed = set(ev["committed"])

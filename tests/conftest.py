@@ -84,7 +84,7 @@ def reference_ports(graph):
     by_stage = []
     prev = [{} for _ in range(graph.n)]
     for t in range(graph.lifetime):
-        edges = graph.edges_at(t)
+        edges = graph.stages[t]
         current = [{} for _ in range(graph.n)]
         for u in range(graph.n):
             for port, w in prev[u].items():

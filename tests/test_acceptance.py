@@ -237,7 +237,7 @@ def test_criterion_9_reference_oracle_and_permutation_invariance():
         brute = brute_force_run(algo, graphs, n)
         for i in range(k):
             for u in range(n):
-                assert algo.serialize(ref.state(u, i)) == algo.serialize(brute[i][u])
+                assert algo.serialize(ref.after_step[i][u]) == algo.serialize(brute[i][u])
         instances += 1
 
     trials = 0

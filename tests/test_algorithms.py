@@ -42,15 +42,15 @@ class TestMaxFlood:
         algo = MaxFloodAlgo()
         graphs = [frozenset({(0, 1), (1, 2)})]
         ref = reference_run(algo, graphs, 3)
-        assert ref.state(2, 0) == 2
-        assert ref.state(1, 0) == 2
-        assert ref.state(0, 0) == 1  # strictly below the global max
+        assert ref.after_step[0][2] == 2
+        assert ref.after_step[0][1] == 2
+        assert ref.after_step[0][0] == 1  # strictly below the global max
 
     def test_floods_along_temporal_path(self):
         algo = MaxFloodAlgo()
         graphs = [frozenset({(1, 2)}), frozenset({(0, 1)})]
         ref = reference_run(algo, graphs, 3)
-        assert ref.state(0, 1) == 2
+        assert ref.after_step[1][0] == 2
 
 
 class TestHistoryHash:
@@ -94,8 +94,8 @@ class TestReferenceRun:
     def test_initial_state_is_step_minus_one(self):
         algo = MaxFloodAlgo()
         ref = reference_run(algo, [frozenset()], 2, inputs=[7, 9])
-        assert ref.state(0, -1) == 7
-        assert ref.state(1, 0) == 9
+        assert ref.initial[0] == 7
+        assert ref.after_step[0][1] == 9
 
     def test_agrees_with_brute_force_on_random_instances(self):
         # independent executors, byte-level agreement
@@ -109,7 +109,7 @@ class TestReferenceRun:
             brute = brute_force_run(algo, graphs, n)
             for i in range(k):
                 for u in range(n):
-                    assert algo.serialize(ref.state(u, i)) == algo.serialize(brute[i][u]), (
+                    assert algo.serialize(ref.after_step[i][u]) == algo.serialize(brute[i][u]), (
                         f"trial {trial} node {u} step {i}"
                     )
 
@@ -131,5 +131,6 @@ def test_property_relabeling_nodes_relabels_states(seed, algo_name):
     inputs = [rng.randint(0, 50) for _ in range(n)]
     base = reference_run(algo, graphs, n, inputs=inputs)
     moved = reference_run(algo, relabeled, n, inputs=[inputs[perm.index(u)] for u in range(n)])
+    last, moved_last = base.after_step[k - 1], moved.after_step[k - 1]
     for u in range(n):
-        assert algo.serialize(base.state(u, k - 1)) == algo.serialize(moved.state(perm[u], k - 1))
+        assert algo.serialize(last[u]) == algo.serialize(moved_last[perm[u]])

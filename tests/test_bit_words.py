@@ -160,6 +160,7 @@ def set_execute(s: dict, algo):
         "committed": committed,
         "valid": sorted(s["valid_ports"]),
         "phase_drops": sorted(s["phase_drops"]),
+        "pulled": [[p, algo.serialize(s["pulled"][p].algo_state).hex()] for p in committed],
     }
     return new, log
 

@@ -82,7 +82,7 @@ def reference_run(graph, script, algo, inputs=None):
     init_maps = [{} for _ in range(n)]
     events, guard_checks = [], 0
     for t in range(graph.lifetime):
-        edges = graph.edges_at(t)
+        edges = graph.stages[t]
         dropped = [set() for _ in range(n)]
         if t > 0:
             for u in range(n):
@@ -141,13 +141,14 @@ def reference_run(graph, script, algo, inputs=None):
                     "phase": own.phase,
                     "committed_map": [[p, init_maps[u][p]] for p in log["committed"]],
                     "state": algo.serialize(new.algo_state).hex(),
+                    "mem_phase": phase_bytes.hex(),
+                    "mem_body": body.hex(),
+                    **log,
+                    # from the views themselves, not from the log
                     "pulled": [
                         [p, algo.serialize(own.pulled[p].algo_state).hex()]
                         for p in log["committed"]
                     ],
-                    "mem_phase": phase_bytes.hex(),
-                    "mem_body": body.hex(),
-                    **log,
                 }
             replaced[u] = new
             events.append(event)

@@ -299,6 +299,40 @@ class TestExecute:
         assert new.algo_state == 1
         assert log["committed"] == []
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ["c", "a", "b", "d"],  # distinct encodings
+            ["b", "a", "b", "a"],  # equal encodings: port order breaks the tie
+            ["z", "z", "z", "z"],
+        ],
+    )
+    def test_neighbors_are_encoded_once_and_ordered_as_sort_states_orders_them(self, keys):
+        class Keyed(CounterAlgo):
+            """States are (key, port) pairs that encode as their key alone."""
+
+            def __init__(self):
+                self.encoded, self.stepped = [], []
+
+            def serialize(self, own):
+                self.encoded.append(own)
+                return own[0].encode()
+
+            def step(self, own, neighbors):
+                self.stepped.append(list(neighbors))
+                return own
+
+        algo = Keyed()
+        s = NodeState(4, algo_state=("own", -1))
+        s.synch = 1
+        s.valid_ports = s.blocked = word({0, 1, 2, 3})
+        states = [(key, port) for port, key in enumerate(keys)]
+        s.pulled = {port: view(algo_state=state) for port, state in enumerate(states)}
+        _, log = execute_synch(s, algo)
+        assert algo.encoded == states
+        assert algo.stepped == [algo.sort_states(states)]
+        assert log["pulled"] == [[port, key.encode().hex()] for port, key in enumerate(keys)]
+
 
 def test_two_nodes_handshake_to_execution_in_three_stages():
     """The canonical dance: ack round, block round, then both execute."""

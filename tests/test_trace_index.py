@@ -8,7 +8,7 @@ import re
 import pytest
 
 from dynsync.algorithms import make_algorithm
-from dynsync.cli import load_config
+from dynsync.cli import execute_scenario, load_config
 from dynsync.engine import SchedulerPolicy, run
 from dynsync.trace import RunTrace, TraceIndex, fairness_audit
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
@@ -504,6 +504,32 @@ def test_pulled_port_outside_the_commit_is_named():
         assert_each_raises([check], encode(header, mutant), re.escape(message))
 
 
+@pytest.mark.parametrize("value", ["missing", 5, None, ["0"], [[0]], [True], ["x", 0]])
+def test_committed_that_is_missing_or_not_an_int_list_is_named(value):
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    at = first_commit(rows)
+    ev = rows[at]
+    if value == "missing":
+        del ev["committed"]
+        message = f"trace event {at} has no 'committed' key"
+    else:
+        ev["committed"] = value
+        message = f"node {ev['node']} phase {ev['phase']}: committed is not an int list"
+    # the index compares it with committed_map's ports, so it checks it
+    assert_every_check_raises(encode(header, rows), algo, re.escape(message))
+
+
+def test_committed_that_is_not_an_int_list_fails_a_fairness_and_liveness_check():
+    outcome = execute_scenario(load_config("churn_mesh"))
+    header, *rows = map(json.loads, outcome.trace.to_jsonl().decode().splitlines())
+    ev = next(ev for ev in rows if ev.get("action") == "execute" and ev["committed"])
+    ev["committed"] = ["x", *ev["committed"][1:]]
+    message = f"node {ev['node']} phase {ev['phase']}: committed is not an int list"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        check_trace(RunTrace.from_jsonl(encode(header, rows)), {"fairness": True, "liveness": 1})
+
+
 @pytest.mark.parametrize("key", ["committed", "valid", "phase_drops"])
 @pytest.mark.parametrize("value", [5, None, ["0"], [[0]], [True]])
 def test_sandwich_fields_that_are_not_int_lists_are_named(key, value):
@@ -511,7 +537,8 @@ def test_sandwich_fields_that_are_not_int_lists_are_named(key, value):
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     ev = rows[first_commit(rows)]
     ev[key] = value
-    # check_sandwich alone reads them
+    # check_sandwich alone reads valid and phase_drops; the index, which
+    # every check builds, names committed (above)
     message = f"node {ev['node']} phase {ev['phase']}: {key} is not an int list"
     assert_each_raises([check_sandwich], encode(header, rows), message)
 

@@ -63,9 +63,10 @@ class TestGraphValidation:
     def test_stage_past_lifetime_rejected(self):
         g = TimeVaryingGraph(2, 1, (frozenset(), frozenset({(0, 1)})))
         assert g.lifetime == 2
-        assert g.edges_at(1) == frozenset({(0, 1)})
-        with pytest.raises(IndexError):
-            g.edges_at(2)
+        assert g.neighbors_at(1, 0) == {1}
+        for t in (-1, 2):
+            with pytest.raises(IndexError):
+                g.neighbors_at(t, 0)
 
     def test_neighbors_at(self):
         g = TimeVaryingGraph(3, 2, (frozenset({(0, 1), (1, 2)}),))
@@ -78,7 +79,7 @@ class TestGenerate:
         g = churn()
         for t in range(100):
             degree = [0] * 6
-            for u, v in g.edges_at(t):
+            for u, v in g.stages[t]:
                 degree[u] += 1
                 degree[v] += 1
             assert max(degree) <= 2, f"stage {t} breaks the bound"
@@ -202,7 +203,7 @@ class TestPorts:
         g = churn(seed=13)
         ports = assign_ports(g)
         for t in range(1, g.lifetime):
-            for e in g.edges_at(t - 1) & g.edges_at(t):
+            for e in g.stages[t - 1] & g.stages[t]:
                 u, v = e
                 assert ports.port_of(t, u, v) == ports.port_of(t - 1, u, v)
                 assert ports.port_of(t, v, u) == ports.port_of(t - 1, v, u)
@@ -277,7 +278,7 @@ class TestIncrementalPorts:
             assert g.ports.dropped[0] == {}
             for t in range(1, g.lifetime):
                 want = [
-                    {p for p, w in reference[t - 1][u].items() if edge(u, w) not in g.edges_at(t)}
+                    {p for p, w in reference[t - 1][u].items() if edge(u, w) not in g.stages[t]}
                     for u in range(g.n)
                 ]
                 assert disconnections_at(g, t) == want
@@ -329,7 +330,7 @@ class TestDisconnections:
         ports = g.ports
         for t in range(1, 60):
             drops = disconnections_at(g, t)
-            gone = g.edges_at(t - 1) - g.edges_at(t)
+            gone = g.stages[t - 1] - g.stages[t]
             expect = [set() for _ in range(g.n)]
             for u, v in gone:
                 expect[u].add(ports.port_of(t - 1, u, v))
@@ -352,12 +353,12 @@ def test_property_churn_all_invariants(n, delta, seed, p_drop, p_add):
     ports = assign_ports(g)
     for t in range(25):
         degree = [0] * n
-        for u, v in g.edges_at(t):
+        for u, v in g.stages[t]:
             degree[u] += 1
             degree[v] += 1
         assert max(degree, default=0) <= delta
         if t:
-            for u, v in g.edges_at(t - 1) & g.edges_at(t):
+            for u, v in g.stages[t - 1] & g.stages[t]:
                 assert ports.port_of(t, u, v) == ports.port_of(t - 1, u, v)
 
 
