@@ -100,7 +100,14 @@ def generate(
     by the ``initial`` pairs. Each later stage drops each edge of the one
     before with p_drop, then scans non-edges in sorted order and adds each
     with p_add unless the degree bound would break at either endpoint.
-    Deterministic in its arguments."""
+    Deterministic in its arguments.
+
+    Every non-edge (u, v), u < v, has one coin, ``rng.random()``, in that
+    order. A coin in a row whose lower node u has no free port decides
+    nothing, so once u is full the rest of its row's k coins are consumed
+    with one ``rng.getrandbits(64 * k)``: CPython's ``random()`` reads two
+    32-bit Mersenne Twister words and ``getrandbits(64 * k)`` reads 2k, so
+    the stream is the one that draws every coin."""
     if type(seed) is not int:
         raise ScenarioError(f"dynamics seed must be an integer, got {seed!r}")
     for name, p in (("p_drop", p_drop), ("p_add", p_add)):
@@ -112,27 +119,35 @@ def generate(
     stages: list[frozenset[Edge]] = [normalize_edges(initial)]
     # the loop indexes degrees by node, so stage 0 is checked before it runs
     _validate_edge_set(stages[0], n, delta, 0)
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    draw = rng.random
+    draw, skip = rng.random, rng.getrandbits
     for _ in range(1, t_max):
         kept = [e for e in sorted(stages[-1]) if draw() >= p_drop]
         degree = [0] * n
+        above: dict[int, list[int]] = {}
         for u, v in kept:
             degree[u] += 1
             degree[v] += 1
-        # The non-edges are the runs of all_pairs between kept edges, found
-        # by position: (u, v) sits at u*n - u*(u+1)/2 + v - u - 1. Scanning
-        # the runs draws the same coins as testing every pair for membership,
-        # without building and hashing a tuple per pair.
+            above.setdefault(u, []).append(v)
+        # row u's coins are its non-edges (u, v), v > u; no later row reads
+        # degree[u], so its count is kept in d
         added: list[Edge] = []
-        start = 0
-        for end in [u * n - u * (u + 1) // 2 + v - u - 1 for u, v in kept] + [len(all_pairs)]:
-            for u, v in all_pairs[start:end]:
-                if draw() < p_add and degree[u] < delta and degree[v] < delta:
-                    added.append((u, v))
-                    degree[u] += 1
-                    degree[v] += 1
-            start = end + 1
+        for u in range(n - 1):
+            held = above.get(u, ())
+            left = n - 1 - u - len(held)  # the row's coins not yet drawn
+            d = degree[u]
+            if d < delta:
+                for v in range(u + 1, n):
+                    if v in held:
+                        continue
+                    left -= 1
+                    if draw() < p_add and degree[v] < delta:
+                        added.append((u, v))
+                        degree[v] += 1
+                        d += 1
+                        if d == delta:
+                            break
+            if left:
+                skip(64 * left)
         # a frozenset copied from a set gets a table sized to its contents,
         # one built from a list can get one twice as large
         stages.append(frozenset(set(kept + added)))
@@ -179,29 +194,42 @@ def port_step(
 
     Persisting edges keep their ports. Vanished edges free theirs first, then
     each new edge takes the lowest free port at each endpoint, new neighbors
-    in ascending index order. Only the endpoints of changed edges get new map
-    objects; the arguments are never mutated."""
+    in ascending index order. A node that gains more neighbors than it has
+    free ports is a ScenarioError. Only the endpoints of changed edges get
+    new map objects; the arguments are never mutated."""
     gone, new = prev_edges - edges, edges - prev_edges
     if not (gone or new):
         return maps, inverse, {}
     maps, inverse = maps.copy(), inverse.copy()
-    for u in {w for e in gone | new for w in e}:
-        maps[u], inverse[u] = dict(maps[u]), dict(inverse[u])
+    # a node's maps are copied when it first loses or gains an edge
     lost: dict[int, list[int]] = {}
     for u, v in gone:
         for a, b in ((u, v), (v, u)):
+            if a not in lost:
+                maps[a], inverse[a] = dict(maps[a]), dict(inverse[a])
+                lost[a] = []
             port = inverse[a].pop(b)
             del maps[a][port]
-            lost.setdefault(a, []).append(port)
+            lost[a].append(port)
     fresh: dict[int, list[int]] = {}
     for u, v in new:
         fresh.setdefault(u, []).append(v)
         fresh.setdefault(v, []).append(u)
     for u, neighbors in fresh.items():
-        free = [p for p in range(delta) if p not in maps[u]]
-        for w, port in zip(sorted(neighbors), free):
-            maps[u][port] = w
-            inverse[u][w] = port
+        if u not in lost:
+            maps[u], inverse[u] = dict(maps[u]), dict(inverse[u])
+        by_port, by_neighbor = maps[u], inverse[u]
+        neighbors.sort()
+        port = 0
+        for w in neighbors:
+            while port in by_port:
+                port += 1
+            if port >= delta:
+                raise ScenarioError(
+                    f"node {u} has no free port for new neighbor {w}: delta is {delta}"
+                )
+            by_port[port] = w
+            by_neighbor[w] = port
     # sorted tuples: a set per node per stage would cost the run's memory
     return maps, inverse, {u: tuple(sorted(lost[u])) for u in sorted(lost)}
 

@@ -1,5 +1,6 @@
 import copy
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +181,47 @@ class TestGenerateReference:
         assert g.stages == reference_generate(64, 4, 100, **args)
         assert len(set(g.stages)) == 100  # every stage differs from the others
 
+    @pytest.mark.parametrize("n, delta", [(128, 1), (128, 2), (160, 2)])
+    def test_saturated_rows_equal_the_reference(self, n, delta):
+        # p_add = 1 fills every row that can fill, so most rows skip their
+        # coins, from a dense start and from an empty one
+        initial = random_edge_sets(random.Random(n + delta), n, delta, 1, p=0.9)[0]
+        for p_drop, start in ((0.1, initial), (0.5, initial), (0.3, ())):
+            args = dict(seed=n * delta, p_drop=p_drop, p_add=1, initial=start)
+            want = reference_generate(n, delta, 4, **args)
+            assert generate(n, delta, 4, **args).stages == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**32 + 5])
+    def test_getrandbits_of_64k_bits_consumes_k_coins(self, seed):
+        # the row skip rests on this: random() reads two 32-bit words and
+        # getrandbits(64 * k) reads 2k
+        for k in range(71):
+            coins, skipped = random.Random(seed), random.Random(seed)
+            for _ in range(k):
+                coins.random()
+            skipped.getrandbits(64 * k)
+            assert skipped.random() == coins.random(), k
+
+    def test_coins_drawn_one_by_one_are_few_and_the_rest_are_skipped(self, monkeypatch):
+        class Counting(random.Random):
+            coins = bits = 0
+
+            def random(self):
+                Counting.coins += 1
+                return super().random()
+
+            def getrandbits(self, k):
+                Counting.bits += k
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(tvg_mod, "random", types.SimpleNamespace(Random=Counting))
+        n, t_max = 256, 10
+        args = dict(seed=3, p_drop=0.2, p_add=0.2)
+        g = generate(n, 4, t_max, **args)
+        assert Counting.coins < 0.15 * (n * (n - 1) // 2) * (t_max - 1)
+        assert Counting.bits % 64 == 0  # whole coins only
+        assert g.stages == reference_generate(n, 4, t_max, **args)
+
 
 class TestPorts:
     def test_graph_builds_its_ports_once(self):
@@ -299,6 +341,24 @@ class TestIncrementalPorts:
                 assert (maps, inverse, dropped) == (
                     g.ports.by_stage[t], g.ports.inverse[t], g.ports.dropped[t]
                 )
+
+    def test_more_new_neighbors_than_free_ports_is_named(self):
+        maps, inverse = [{} for _ in range(4)], [{} for _ in range(4)]
+        before = copy.deepcopy((maps, inverse))
+        star = frozenset({(0, 1), (0, 2)})
+        named = r"^node 0 has no free port for new neighbor 2: delta is 1$"
+        with pytest.raises(ScenarioError, match=named):
+            port_step(maps, inverse, frozenset(), star, 1)
+        assert (maps, inverse) == before
+        # a held port counts: node 1 keeps port 0 for node 0 and has one left
+        maps, inverse, _ = port_step(maps, inverse, frozenset(), frozenset({(0, 1)}), 2)
+        held, fan = frozenset({(0, 1)}), frozenset({(1, 2), (1, 3)})
+        named = r"^node 1 has no free port for new neighbor 3: delta is 2$"
+        with pytest.raises(ScenarioError, match=named):
+            port_step(maps, inverse, held, held | fan, 2)
+        # a port freed at this stage is free again
+        maps, _, dropped = port_step(maps, inverse, held, fan, 2)
+        assert dropped == {0: (0,), 1: (0,)} and maps[1] == {0: 2, 1: 3}
 
     def test_static_graph_holds_one_map_per_node(self):
         edges = frozenset({(0, 1), (1, 2), (0, 3)})
