@@ -6,9 +6,9 @@ ack/block handshake to agree edge by edge on each simulated round's graph.
 
 The modules: ``tvg`` (time-varying graphs and port assignments),
 ``synchronizer`` (the per-node protocol), ``algorithms`` (the wrapped
-algorithms and their synchronous reference runner), ``engine`` (schedules
-and the run loop), ``trace`` (the trace format, its checks and index, and
-the fairness audit), ``verify`` (the checkers), ``demo`` (the
+algorithms and their synchronous reference runner), ``engine`` (the run
+loop), ``trace`` (the trace format, its checks and index, the schedulers
+and the fairness audit), ``verify`` (the checkers), ``demo`` (the
 model-separation demo) and ``cli`` (the scenario command line). ``trace``
 and ``verify`` import neither ``engine`` nor ``synchronizer``, so the
 checkers stay independent of the code they check.
@@ -34,7 +34,7 @@ _MODULE_OF = {
     "ProtocolViolation": "synchronizer",
     "RunTrace": "trace",
     "ScenarioError": "tvg",
-    "SchedulerPolicy": "engine",
+    "SchedulerPolicy": "trace",
     "SymmetryViolation": "verify",
     "SyncAlgorithm": "algorithms",
     "TimeVaryingGraph": "tvg",

@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING, Any, BinaryIO, NamedTuple, NoReturn, Sequence
 
 from .algorithms import make_algorithm
 from .demo import CLASSIC_PROTOCOLS, HANDSHAKE_DEMO, extended_model_demo, impossibility_demo
-from .engine import InternalInvariantError, SchedulerPolicy, run
+from .engine import InternalInvariantError, run
 from .synchronizer import ProtocolViolation
-from .trace import RunTrace, _dumps
+from .trace import RunTrace, SchedulerPolicy, _dumps
 from .tvg import Edge, ScenarioError, TimeVaryingGraph, generate, normalize_edges
 from .verify import CHECK_NAMES, CheckResult, Verdict, check_trace
 
@@ -154,32 +154,7 @@ class ScenarioConfig(NamedTuple):
         return build()
 
     def build_scheduler(self) -> SchedulerPolicy:
-        spec = dict(self.scheduler)
-        kind = spec.pop("kind")
-        seed = spec.pop("seed", derive_seed(self.seed, "scheduler"))
-        if kind in ("all-active", "sequential"):
-            policy = SchedulerPolicy(kind=kind, seed=seed)
-        elif kind == "random-subset":
-            policy = SchedulerPolicy(
-                kind=kind,
-                seed=seed,
-                p_activate=spec.pop("p_activate", 0.5),
-                fairness_bound=spec.pop("fairness_bound", 1),
-            )
-        elif kind == "scripted":
-            stages = spec.pop("stages", None)
-            _require(isinstance(stages, list), "scripted scheduler needs a stages array")
-            # the policy sorts each stage and checks its node range
-            for t, chosen in enumerate(stages):
-                _require(
-                    isinstance(chosen, list) and all(type(u) is int for u in chosen),
-                    f"stage {t}: scripted activation must be a list of integers: {chosen!r}",
-                )
-            policy = SchedulerPolicy(kind=kind, seed=seed, script=tuple(map(tuple, stages)))
-        else:
-            raise ScenarioError(f"unknown scheduler kind {kind!r}")
-        _require(not spec, f"unknown scheduler keys: {sorted(spec)}")
-        return policy
+        return SchedulerPolicy.from_config(self.scheduler, derive_seed(self.seed, "scheduler"))
 
     def build_algorithm(self):
         spec = dict(self.algorithm)

@@ -19,9 +19,9 @@ from abc import ABC, abstractmethod
 from typing import Any, NamedTuple
 
 from .algorithms import make_algorithm
-from .engine import SchedulerPolicy, run
-from .trace import _dumps
-from .tvg import ScenarioError, TimeVaryingGraph, disconnections_at
+from .engine import run
+from .trace import SchedulerPolicy, _dumps
+from .tvg import ScenarioError, TimeVaryingGraph
 from .verify import extract_H
 
 
@@ -121,9 +121,8 @@ def _run_classic(protocol: ClassicPullProtocol, script: tuple[tuple[int, ...], .
     streams: dict[int, list[str]] = {0: [], 1: []}
     decisions: dict[int, tuple[int, int] | None] = {0: None, 1: None}
     for t in range(DEMO_HORIZON):
-        dropped = disconnections_at(graph, t)
-        for u in range(2):
-            detectors[u] |= dropped[u]
+        for u, ports in graph.ports.dropped[t].items():
+            detectors[u].update(ports)
         exposed = [protocol.exposed(states[u]) for u in range(2)]
         new_states = list(states)
         for u in script[t]:

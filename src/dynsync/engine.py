@@ -1,14 +1,14 @@
 """Semi-synchronous execution engine.
 
-``SchedulerPolicy`` computes the schedule, every stage's activation set,
-before the first stage. ``stage`` runs one stage on a ``Configuration``: fold
-the stage's disconnections into the per-node detectors, evaluate every
-node's single enabled action, run each activated node's against the
-stage-start snapshot (a ``PortReads`` serves a handshake only what it asks
-for: ``pull_view`` builds a neighbor's view and ``pull_ack`` reads its ack
-bit alone), then land all local state replacements followed by all remote
-block writes (both are order-independent), and finally clear the detectors
-of the activated nodes.
+``run`` takes the schedule, every stage's activation set, from a
+``SchedulerPolicy`` (``dynsync.trace``) before the first stage. ``stage``
+runs one stage on a ``Configuration``: fold the stage's disconnections into
+the per-node detectors, evaluate every node's single enabled action, run
+each activated node's against the stage-start snapshot (a ``PortReads``
+serves a handshake only what it asks for: ``pull_view`` builds a neighbor's
+view and ``pull_ack`` reads its ack bit alone), then land all local state
+replacements followed by all remote block writes (both are
+order-independent), and finally clear the detectors of the activated nodes.
 ``run`` folds ``stage`` over a graph's stages, with each stage's ports from
 ``tvg.port_step`` as ``graph.ports`` recorded them, and frames the events with
 a header and a footer.
@@ -20,8 +20,7 @@ and the checkers import nothing from here.
 """
 from __future__ import annotations
 
-import random
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .algorithms import SyncAlgorithm
 from .synchronizer import (
@@ -36,8 +35,11 @@ from .synchronizer import (
     ports_of,
     serialize_sync_state,
 )
-from .trace import TRACE_SCHEMA, RunTrace, validate_scheduler
+from .trace import TRACE_SCHEMA, RunTrace
 from .tvg import Edge, ScenarioError, TimeVaryingGraph
+
+if TYPE_CHECKING:
+    from .trace import SchedulerPolicy
 
 # perfbench/run.py::check_once and perfbench/spans.py's TIMED_FUNCTIONS read
 # the audit under this module's name; the tracer patches every name bound to it
@@ -48,64 +50,6 @@ _NO_DROPS = 0
 
 class InternalInvariantError(RuntimeError):
     """A protocol-level invariant the engine enforces failed mid-run."""
-
-
-class SchedulerPolicy:
-    """Which nodes act each stage.
-
-    kinds: "all-active", "sequential" (round-robin, one node per stage),
-    "random-subset" (independent coin per node, plus force-activation of any
-    node idle for fairness_bound stages), "scripted" (explicit sets). The
-    settings must pass ``validate_scheduler``, as a trace header's must.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        seed: int = 0,
-        p_activate: float = 0.5,
-        fairness_bound: int = 1,
-        script: tuple[tuple[int, ...], ...] = (),
-    ) -> None:
-        self.kind = kind
-        self.seed = seed
-        self.p_activate = p_activate
-        self.fairness_bound = fairness_bound
-        self.script = script
-        validate_scheduler(kind, seed, p_activate, fairness_bound)
-
-    def schedule(self, n: int, horizon: int) -> list[list[int]]:
-        """Each of the horizon stages' activation set, as a sorted list."""
-        if self.kind == "all-active":
-            return [list(range(n)) for _ in range(horizon)]
-        if self.kind == "sequential":
-            return [[t % n] for t in range(horizon)]
-        if self.kind == "scripted":
-            if len(self.script) < horizon:
-                raise ScenarioError(
-                    f"scheduler script covers {len(self.script)} stages, horizon is {horizon}"
-                )
-            stages = [sorted(set(chosen)) for chosen in self.script[:horizon]]
-            for t, chosen in enumerate(stages):
-                if chosen and not (0 <= chosen[0] and chosen[-1] < n):
-                    raise ScenarioError(f"stage {t}: scripted activation out of range: {chosen}")
-            return stages
-        # random-subset draws one coin per node per stage, in node order, so
-        # the stream is stable no matter what it selects, and forces in any
-        # node idle for fairness_bound stages.
-        rng = random.Random(self.seed)
-        last = [-1] * n
-        stages = []
-        for t in range(horizon):
-            chosen = [
-                u
-                for u in range(n)
-                if rng.random() < self.p_activate or t - last[u] >= self.fairness_bound
-            ]
-            for u in chosen:
-                last[u] = t
-            stages.append(chosen)
-        return stages
 
 
 def pull_ack(neighbor: NodeState, remote_port: int) -> int:
@@ -318,12 +262,7 @@ def run(
         # No run outlasts its graph, so no stage reuses a frozen edge set.
         # The key stays so that trace bytes and their pinned digests hold.
         "frozen_from": None,
-        "scheduler": {
-            "kind": scheduler.kind,
-            "seed": scheduler.seed,
-            "p_activate": scheduler.p_activate,
-            "fairness_bound": scheduler.fairness_bound,
-        },
+        "scheduler": scheduler.record(),
     }
     if header_extra:
         header.update(header_extra)

@@ -5,9 +5,8 @@ one event per stage and per activated node's action, in execution order,
 and a footer with the run's totals. ``RunTrace`` holds one, writes and
 parses it as JSON lines, and checks it: the header and footer by
 themselves, and the events while ``TraceIndex`` builds the per-node view
-every checker reads. ``promised_gap`` is the one rule that reads the
-scheduler's promise from a header, and ``fairness_audit`` holds a trace's
-activation gaps to it.
+every checker reads. ``SchedulerPolicy`` is the one place that knows the
+schedulers, and ``fairness_audit`` holds a trace to the gap they promise.
 
 This module imports neither the engine nor the synchronizer, and neither
 does ``verify``: the checkers re-derive what must have happened from a
@@ -17,44 +16,135 @@ from __future__ import annotations
 
 import functools
 import json
+import random
 from bisect import bisect_left
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .tvg import ScenarioError
 
 TRACE_SCHEMA = "trace/v1"
 
 
-def validate_scheduler(kind: Any, seed: Any, p_activate: Any, fairness_bound: Any) -> None:
-    """Raise ``ScenarioError`` unless the settings describe a scheduler: a
-    known kind and an integer seed, and for random-subset a ``p_activate``
-    in [0, 1] and an integer ``fairness_bound`` >= 1 (a boolean is neither).
-    ``SchedulerPolicy`` and a trace header's check both apply this rule."""
-    if kind not in ("all-active", "sequential", "random-subset", "scripted"):
-        raise ScenarioError(f"unknown scheduler kind {kind!r}")
-    if type(seed) is not int:
-        raise ScenarioError(f"scheduler seed must be an integer, got {seed!r}")
-    if kind == "random-subset":
-        if not (type(p_activate) in (int, float) and 0.0 <= p_activate <= 1.0):
-            raise ScenarioError(f"p_activate must be in [0,1], got {p_activate!r}")
-        if not (type(fairness_bound) is int and fairness_bound >= 1):
-            raise ScenarioError(
-                f"fairness_bound must be an integer >= 1, got {fairness_bound!r}"
-            )
+class SchedulerPolicy:
+    """Which nodes act each stage: "all-active", "sequential" (round-robin),
+    "random-subset" (a coin per node, and any node idle for fairness_bound
+    stages forced in) or "scripted" (explicit sets). The constructor is the
+    one check of the settings that configs and trace headers give."""
 
+    # the settings a trace header's ``scheduler`` object records
+    RECORDED = ("kind", "seed", "p_activate", "fairness_bound")
 
-def promised_gap(header: dict) -> int:
-    """The most stages a node can wait between activations, counted from a
-    virtual activation at stage -1, under the scheduler a checked trace
-    header records. A scripted schedule promises only the horizon."""
-    sched = header["scheduler"]
-    if sched["kind"] == "all-active":
-        return 1
-    if sched["kind"] == "sequential":
-        return header["n"]
-    if sched["kind"] == "random-subset":
-        return sched["fairness_bound"]
-    return header["horizon"]
+    def __init__(
+        self,
+        kind: str,
+        seed: int = 0,
+        p_activate: float = 0.5,
+        fairness_bound: int = 1,
+        script: Sequence[Sequence[int]] = (),
+    ) -> None:
+        if kind not in ("all-active", "sequential", "random-subset", "scripted"):
+            raise ScenarioError(f"unknown scheduler kind {kind!r}")
+        if kind == "scripted":
+            if not isinstance(script, (list, tuple)):
+                raise ScenarioError("scripted scheduler needs a stages array")
+            # schedule sorts each stage and checks its node range
+            for t, chosen in enumerate(script):
+                if not (isinstance(chosen, (list, tuple)) and all(type(u) is int for u in chosen)):
+                    raise ScenarioError(
+                        f"stage {t}: scripted activation must be a list of integers: {chosen!r}"
+                    )
+        if type(seed) is not int:
+            raise ScenarioError(f"scheduler seed must be an integer, got {seed!r}")
+        if kind == "random-subset":
+            if not (type(p_activate) in (int, float) and 0.0 <= p_activate <= 1.0):
+                raise ScenarioError(f"p_activate must be in [0,1], got {p_activate!r}")
+            if not (type(fairness_bound) is int and fairness_bound >= 1):
+                raise ScenarioError(
+                    f"fairness_bound must be an integer >= 1, got {fairness_bound!r}"
+                )
+        self.kind = kind
+        self.seed = seed
+        self.p_activate = p_activate
+        self.fairness_bound = fairness_bound
+        self.script = script
+
+    @classmethod
+    def from_config(cls, spec: dict, seed: int) -> "SchedulerPolicy":
+        """The policy a config's ``scheduler`` object gives; ``seed`` if it names none."""
+        spec = dict(spec)
+        kind, settings = spec.pop("kind"), {"seed": spec.pop("seed", seed)}
+        if kind == "scripted":
+            settings["script"] = spec.pop("stages", None)
+        elif kind == "random-subset":
+            for key in ("p_activate", "fairness_bound"):
+                if key in spec:
+                    settings[key] = spec.pop(key)
+        policy = cls(kind, **settings)
+        if spec:
+            raise ScenarioError(f"unknown scheduler keys: {sorted(spec)}")
+        return policy
+
+    def record(self) -> dict:
+        """The trace header's ``scheduler`` object; it has no script."""
+        return {key: getattr(self, key) for key in self.RECORDED}
+
+    @classmethod
+    def from_header(cls, header: dict) -> "SchedulerPolicy":
+        """The policy a trace header records; a scripted one has no script."""
+        sched = header["scheduler"]
+        if type(sched) is not dict:
+            raise ScenarioError(f"trace header: scheduler must be an object, got {sched!r}")
+        for key in cls.RECORDED:
+            if key not in sched:
+                raise ScenarioError(f"trace header: scheduler has no {key!r} key")
+        try:
+            return cls(**{key: sched[key] for key in cls.RECORDED})
+        except ScenarioError as exc:
+            raise ScenarioError(f"trace header: {exc}") from None
+
+    def promised_gap(self, n: int, horizon: int) -> int:
+        """The most stages a node waits between activations, virtual ones at
+        stage -1 and the horizon included; a scripted one promises the horizon."""
+        if self.kind == "all-active":
+            return 1
+        if self.kind == "sequential":
+            return n
+        if self.kind == "random-subset":
+            return self.fairness_bound
+        return horizon
+
+    def schedule(self, n: int, horizon: int) -> list[list[int]]:
+        """Each of the horizon stages' activation set, as a sorted list."""
+        if self.kind == "all-active":
+            return [list(range(n)) for _ in range(horizon)]
+        if self.kind == "sequential":
+            return [[t % n] for t in range(horizon)]
+        if self.kind == "scripted":
+            if len(self.script) < horizon:
+                raise ScenarioError(
+                    f"scheduler script covers {len(self.script)} stages, horizon is {horizon}"
+                )
+            stages = [sorted(set(chosen)) for chosen in self.script[:horizon]]
+            for t, chosen in enumerate(stages):
+                if chosen and not (0 <= chosen[0] and chosen[-1] < n):
+                    raise ScenarioError(f"stage {t}: scripted activation out of range: {chosen}")
+            return stages
+        # random-subset draws one coin per node per stage, in node order, so
+        # the stream is stable no matter what it selects, and forces in any
+        # node idle for fairness_bound stages.
+        rng = random.Random(self.seed)
+        last = [-1] * n
+        stages = []
+        for t in range(horizon):
+            chosen = [
+                u
+                for u in range(n)
+                if rng.random() < self.p_activate or t - last[u] >= self.fairness_bound
+            ]
+            for u in chosen:
+                last[u] = t
+            stages.append(chosen)
+        return stages
 
 
 # The C encoder that json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -388,8 +478,8 @@ class RunTrace:
         header is checked: ``schema`` the one this module writes, ``n``,
         ``delta`` and ``horizon`` integers >= 1 (a JSON boolean is not one),
         ``algorithm`` present, ``inputs`` null or one integer per node, and
-        ``scheduler`` an object whose ``kind``, ``seed``, ``p_activate`` and
-        ``fairness_bound`` pass ``validate_scheduler``. After the build, the
+        ``scheduler`` an object that ``SchedulerPolicy.from_header`` takes.
+        After the build, the
         footer must count the horizon's stages, each node's executes and
         the n·horizon guard checks."""
         header = self.header
@@ -405,22 +495,12 @@ class RunTrace:
             if type(value) is not int or value < 1:
                 raise ScenarioError(f"trace header: {key} must be an integer >= 1, got {value!r}")
         n, horizon = header["n"], header["horizon"]
-        inputs, sched = header["inputs"], header["scheduler"]
+        inputs = header["inputs"]
         if inputs is not None and not (
             type(inputs) is list and len(inputs) == n and {int}.issuperset(map(type, inputs))
         ):
             raise ScenarioError(f"trace header: inputs must be null or {n} integers: {inputs!r}")
-        if type(sched) is not dict:
-            raise ScenarioError(f"trace header: scheduler must be an object, got {sched!r}")
-        for key in ("kind", "seed", "p_activate", "fairness_bound"):
-            if key not in sched:
-                raise ScenarioError(f"trace header: scheduler has no {key!r} key")
-        try:
-            validate_scheduler(
-                sched["kind"], sched["seed"], sched["p_activate"], sched["fairness_bound"]
-            )
-        except ScenarioError as exc:
-            raise ScenarioError(f"trace header: {exc}") from None
+        SchedulerPolicy.from_header(header)
         index = TraceIndex.build(n, horizon, self.events)
         # after the build, so that a truncated trace reads as one
         if not self.footer:
@@ -467,13 +547,15 @@ class FairnessReport(NamedTuple):
 
 def fairness_audit(trace: RunTrace) -> FairnessReport:
     """Max activation gap per node, counted from a virtual activation at
-    stage -1, compared against the bound the trace header's scheduler
-    promises."""
+    stage -1 and to one at the stage after the last, compared against the
+    bound the trace header's scheduler promises. The closing gap is a node's
+    idle tail, so a node that never acts waits the horizon plus one."""
+    end = len(trace.index.stages)  # the index checks the header, horizon included
     max_gap, worst, worst_t = 0, 0, -1
     for u, stages in enumerate(trace.index.acts):
-        for last, t in zip([-1] + stages, stages):
+        for last, t in zip([-1] + stages, stages + [end]):
             # the worst node is the first a stage-by-stage walk finds
             if t - last > max_gap or (t - last == max_gap and t < worst_t):
                 max_gap, worst, worst_t = t - last, u, t
-    bound = promised_gap(trace.header)
+    bound = SchedulerPolicy.from_header(trace.header).promised_gap(trace.n, end)
     return FairnessReport(max_gap=max_gap, bound=bound, worst_node=worst, ok=max_gap <= bound)

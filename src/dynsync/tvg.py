@@ -250,6 +250,7 @@ def assign_ports(graph: TimeVaryingGraph) -> PortAssignment:
     return assignment
 
 
+# only perfbench/spans.py's TIMED_FUNCTIONS reads this, under this module's name
 def disconnections_at(graph: TimeVaryingGraph, t: int) -> list[set[int]]:
     """Per-node set of port indices whose edge was present at stage t-1 and is
     gone at stage t. Empty at t=0."""

@@ -8,7 +8,8 @@ synchronizer state or share a bug with the code it checks. ``extract_H``
 recovers the committed history, ``check_strong_nontriviality`` is the
 oracle that re-derives from timelines alone exactly which edges each phase
 must have committed, and ``check_trace`` is the one verdict path that runs
-extraction, the fairness audit and every requested checker.
+extraction, the fairness audit and every requested checker. Liveness and
+fairness read the scheduler's promise through ``SchedulerPolicy.from_header``.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from bisect import bisect_left
 from typing import Any, NamedTuple, Sequence
 
 from .algorithms import SyncAlgorithm, make_algorithm, reference_run
-from .trace import FairnessReport, RunTrace, fairness_audit, promised_gap
+from .trace import FairnessReport, RunTrace, SchedulerPolicy, fairness_audit
 from .tvg import Edge, PortAssignment, ScenarioError, edge
 
 
@@ -331,7 +332,8 @@ def check_liveness(trace: RunTrace, target: int) -> LivenessReport:
     starts = trace.index.phase_starts
     reached = len(starts) - 1
     first_stage = starts[: min(target, reached) + 1]
-    window = promised_gap(trace.header) * (trace.header["delta"] + 2) * trace.n * 4
+    promise = SchedulerPolicy.from_header(trace.header).promised_gap(trace.n, trace.horizon)
+    window = promise * (trace.header["delta"] + 2) * trace.n * 4
     stalls = [b - a for a, b in zip(first_stage, first_stage[1:])] or [0]
     if reached < target:
         stalls.append(trace.horizon - first_stage[-1])

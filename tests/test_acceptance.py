@@ -11,7 +11,8 @@ from conftest import brute_force_run, random_edge_sets
 from dynsync.algorithms import make_algorithm, reference_run
 from dynsync.cli import EXIT_OK, build_weak_nontriviality, main
 from dynsync.demo import extended_model_demo, impossibility_demo
-from dynsync.engine import SchedulerPolicy, run
+from dynsync.engine import run
+from dynsync.trace import SchedulerPolicy
 from dynsync.tvg import TimeVaryingGraph, generate
 from dynsync.verify import (
     check_correctness,

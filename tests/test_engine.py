@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from conftest import random_edge_sets
 from dynsync.algorithms import make_algorithm
 from dynsync.cli import bundled_scenarios, execute_scenario, load_config
-from dynsync.engine import Configuration, InternalInvariantError, SchedulerPolicy, run, stage
+from dynsync.engine import Configuration, InternalInvariantError, run, stage
 from dynsync.synchronizer import handshake
-from dynsync.trace import BLOCK_BYTES, RunTrace, _dumps, fairness_audit
+from dynsync.trace import BLOCK_BYTES, RunTrace, SchedulerPolicy, _dumps, fairness_audit
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate, port_step
 from dynsync.verify import (
     check_correctness,
@@ -21,6 +21,7 @@ from dynsync.verify import (
     check_pulled_consistency,
     check_sandwich,
     check_strong_nontriviality,
+    check_trace,
     extract_H,
 )
 
@@ -104,6 +105,41 @@ class TestScheduler:
                 last[u] = t
         assert all(t - last[u] <= bound for u in range(n) for t in [horizon - 1])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["all-active", "sequential", "random-subset", "scripted"]),
+        n=st.integers(1, 9),
+        horizon=st.integers(1, 60),
+        seed=st.integers(0, 2**64 - 1),
+        p=st.floats(0.0, 1.0),
+        bound=st.integers(1, 12),
+    )
+    def test_property_every_policy_keeps_its_promise(self, data, kind, n, horizon, seed, p, bound):
+        """The longest wait of any node, from a virtual activation at stage
+        -1 to one at the horizon, is at most what the policy promises; a
+        scripted one promises the horizon, which a node that never acts
+        breaks. The header's record rebuilds the same settings."""
+        script = ()
+        if kind == "scripted":
+            stage = st.lists(st.integers(0, n - 1), max_size=n)
+            script = data.draw(st.lists(stage, min_size=horizon, max_size=horizon))
+        pol = SchedulerPolicy(kind, seed=seed, p_activate=p, fairness_bound=bound, script=script)
+        last, gap = [-1] * n, 0
+        for t, chosen in enumerate(pol.schedule(n, horizon)):
+            for u in chosen:
+                gap = max(gap, t - last[u])
+                last[u] = t
+        gap = max(gap, *(horizon - t for t in last))
+        starved = kind == "scripted" and -1 in last
+        assert (gap <= pol.promised_gap(n, horizon)) != starved
+        header = json.loads(_dumps({"n": n, "horizon": horizon, "scheduler": pol.record()}))
+        rebuilt = SchedulerPolicy.from_header(header)
+        assert rebuilt.record() == pol.record()
+        assert (rebuilt.kind, rebuilt.seed, rebuilt.p_activate, rebuilt.fairness_bound) == (
+            kind, seed, p, bound
+        )
+
 
 class TestTraceFormat:
     def test_round_trip_is_byte_identical(self):
@@ -176,8 +212,10 @@ class TestTraceFormat:
         assert trace.footer == {"stages": 0}
 
     def test_rejects_headerless_input(self):
-        with pytest.raises(ScenarioError):
-            RunTrace.from_jsonl(b'{"kind":"stage"}\n')
+        # a first line that is not the header, and no line at all
+        for data in (b'{"kind":"stage"}\n', b"", b"\n\n"):
+            with pytest.raises(ScenarioError, match="^trace does not start with a header line$"):
+                RunTrace.from_jsonl(data)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -413,6 +451,22 @@ class TestFairnessAudit:
         report = fairness_audit(trace)
         assert not report.ok
         assert report.max_gap == 4 and report.worst_node == 1
+
+    def test_a_node_idle_to_the_end_is_seen(self):
+        """A node's last gap runs to a virtual activation at the horizon, so
+        node 1, idle after stage 2, and node 2, which never acts, both count."""
+        g = TimeVaryingGraph(3, 2, (frozenset({(0, 1)}),) * 12)
+        script = ((0, 1),) * 3 + ((0,),) * 9
+        trace = run(g, SchedulerPolicy(kind="scripted", script=script), make_algorithm("counter"))
+        # a scripted schedule promises the horizon, and node 2 waits one more
+        assert fairness_audit(trace) == (13, 12, 2, False)
+        trace.header["scheduler"] = {
+            "kind": "all-active", "seed": 0, "p_activate": 0.5, "fairness_bound": 1
+        }
+        trace = RunTrace.from_jsonl(trace.to_jsonl())
+        assert [tuple(r) for r in check_trace(trace, {"fairness": True})] == [
+            ("fairness", False, "max activation gap 13 vs bound 1 (worst node 2)")
+        ]
 
 
 class TestRunValidation:

@@ -18,7 +18,7 @@ from conftest import bits, reference_ports, word
 from dynsync import engine
 from dynsync.algorithms import make_algorithm
 from dynsync.cli import bundled_scenarios, load_config
-from dynsync.engine import SchedulerPolicy, run
+from dynsync.engine import run
 from dynsync.synchronizer import (
     ActionKind,
     NodeState,
@@ -28,6 +28,7 @@ from dynsync.synchronizer import (
     handshake,
     serialize_sync_state,
 )
+from dynsync.trace import SchedulerPolicy
 from dynsync.tvg import TimeVaryingGraph, edge
 
 

@@ -101,3 +101,17 @@ def test_checking_a_trace_from_disk_loads_no_code_it_checks(tmp_path):
     assert {"dynsync.trace", "dynsync.verify"} <= loaded
     gone = {"dynsync.engine", "dynsync.synchronizer", "dynsync.cli", "dynsync.demo"}
     assert not gone & loaded, sorted(loaded)
+
+
+def test_only_the_trace_module_names_the_scheduler_kinds():
+    """``trace.SchedulerPolicy`` is the one place that knows the schedulers,
+    so no other module spells a kind that belongs to schedulers alone
+    ("scripted" names a dynamics kind too)."""
+    kinds = {"all-active", "sequential", "random-subset"}
+    naming = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in kinds
+    }
+    assert naming == {"trace.py"}

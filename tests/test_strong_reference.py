@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynsync.algorithms import make_algorithm
-from dynsync.engine import SchedulerPolicy, run
+from dynsync.engine import run
+from dynsync.trace import SchedulerPolicy
 from dynsync.tvg import TimeVaryingGraph, generate
 from dynsync.verify import ExtractedSynch, StrongReport, check_strong_nontriviality, extract_H
 

@@ -9,8 +9,8 @@ import pytest
 
 from dynsync.algorithms import make_algorithm
 from dynsync.cli import execute_scenario, load_config
-from dynsync.engine import SchedulerPolicy, run
-from dynsync.trace import RunTrace, TraceIndex, fairness_audit
+from dynsync.engine import run
+from dynsync.trace import RunTrace, SchedulerPolicy, TraceIndex, fairness_audit
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
 from dynsync.verify import (
     check_correctness,

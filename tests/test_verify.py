@@ -1,3 +1,5 @@
+import functools
+import json
 import random
 
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 import dynsync.engine as engine_mod
 from conftest import random_edge_sets
 from dynsync.algorithms import make_algorithm
-from dynsync.cli import build_weak_nontriviality, bundled_scenarios, load_config
+from dynsync.cli import build_weak_nontriviality, bundled_scenarios, execute_scenario, load_config
 from dynsync.demo import extended_model_demo, impossibility_demo
-from dynsync.engine import SchedulerPolicy, run
+from dynsync.engine import run
+from dynsync.trace import RunTrace, SchedulerPolicy
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, edge, generate
 from dynsync.verify import (
     ExtractedSynch,
@@ -333,6 +336,74 @@ class TestLiveness:
         report = check_liveness(trace, target=50)
         assert not report.ok
         assert report.reached == 2
+
+
+@functools.cache
+def static_triangle_lines():
+    return execute_scenario(load_config("static_triangle")).trace.to_jsonl().decode().splitlines()
+
+
+def forge_state(header, executes):
+    ev = executes[1][1]
+    want = ev["state"]
+    ev["state"] = ("1" if want[0] == "0" else "0") + want[1:]
+    return "correctness", f"node 1 phase 1: got {ev['state']}, reference {want}; "
+
+
+def forge_valid(header, executes):
+    ev = executes[0][0]
+    ev["valid"] = ev["phase_drops"] = []
+    detail = f"node 0 phase 0: committed {sorted(ev['committed'])} outside valid"
+    return "correctness", f"states byte-equal over 10 phases; {detail}"
+
+
+def forge_missing_edge(header, executes):
+    # both endpoints drop the edge, so extraction still agrees on phase 0
+    for u, v in ((0, 1), (1, 0)):
+        ev = executes[u][0]
+        ev["committed_map"] = [[p, w] for p, w in ev["committed_map"] if w != v]
+        ev["committed"] = [p for p, _ in ev["committed_map"]]
+    return "strong-nontriviality", "missing [(0, 1, 0)] extra []"
+
+
+def forge_degree_bound(header, executes):
+    header["delta"] = 1
+    return "extraction", "phase 0: committed graph exceeds degree bound 1"
+
+
+@pytest.mark.parametrize(
+    "forge", [forge_state, forge_valid, forge_missing_edge, forge_degree_bound]
+)
+def test_a_failed_check_names_what_failed(forge):
+    """Each failure detail check_trace reports, on a forged copy of the
+    bundled static_triangle trace."""
+    header, *rows = map(json.loads, static_triangle_lines())
+    executes = [[] for _ in range(header["n"])]
+    for ev in rows:
+        if ev.get("action") == "execute":
+            executes[ev["node"]].append(ev)
+    name, detail = forge(header, executes)
+    trace = RunTrace.from_jsonl("\n".join(map(json.dumps, [header, *rows])).encode())
+    checks = {"correctness": True} if name == "extraction" else {name: True}
+    result = next(r for r in check_trace(trace, checks) if r.name == name)
+    assert not result.ok
+    # a forged state also makes its neighbors' snapshots of it stale
+    assert result.detail.startswith(detail), result.detail
+
+
+def test_a_snapshot_of_a_partner_short_of_the_phase_is_a_failure():
+    """Node 0's phase-1 commit redirected to node 2, which never acts, has
+    no boundary state of node 2 to compare the snapshot with."""
+    graph = TimeVaryingGraph(3, 2, (frozenset({(0, 1)}),) * 12)
+    algo = make_algorithm("counter")
+    trace = run(graph, SchedulerPolicy(kind="scripted", script=((0, 1),) * 12), algo)
+    ev = trace.index.executes[0][1]
+    assert ev["committed_map"] == [[0, 1]] and ev["pulled"][0][0] == 0
+    ev["committed_map"] = [[0, 2]]
+    report = check_pulled_consistency(trace, algo)
+    assert report.failures == [
+        "node 0 phase 1 port 0: partner 2 has no recorded boundary for the prior phase"
+    ]
 
 
 class TestMutationSelfTest:
