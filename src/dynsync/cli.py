@@ -18,7 +18,6 @@ import sys
 # hashlib.blake2b is this same type, but importing hashlib also loads OpenSSL
 from _blake2 import blake2b
 from functools import partial
-from importlib import resources
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, NamedTuple, NoReturn, Sequence
@@ -362,6 +361,10 @@ def finish(outcome: ScenarioOutcome, out_dir: Path, quiet: bool, *written: Path)
 
 
 def bundled_scenarios() -> list[str]:
+    # imported where a bundled scenario is looked up, not with the module: on
+    # Python 3.12 and later importing importlib.resources loads inspect
+    from importlib import resources
+
     root = resources.files("dynsync").joinpath("scenarios")
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
@@ -372,6 +375,8 @@ def load_config(ref: str, seed_override: int | None = None) -> ScenarioConfig:
     if path.exists():
         text, fallback = path.read_text(encoding="utf-8"), path.stem
     else:
+        from importlib import resources  # as in bundled_scenarios
+
         resource = resources.files("dynsync").joinpath(f"scenarios/{ref}.json")
         if not resource.is_file():
             raise ScenarioError(

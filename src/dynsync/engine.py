@@ -46,6 +46,8 @@ if TYPE_CHECKING:
 from .trace import fairness_audit
 
 _NO_DROPS = 0
+# a global, for the reason synchronizer gives for its own
+_HANDSHAKE = ActionKind.HANDSHAKE
 
 
 class InternalInvariantError(RuntimeError):
@@ -59,16 +61,20 @@ def pull_ack(neighbor: NodeState, remote_port: int) -> int:
 
 def pull_view(neighbor: NodeState, remote_port: int, neighbor_detector: int) -> PulledView:
     """Snapshot what the node behind a port exposes at stage start."""
-    # positional, in field order: keywords double the cost of the build
-    return PulledView(
-        neighbor.phase,
-        neighbor.synch,
-        remote_port,
-        pull_ack(neighbor, remote_port),
-        neighbor.valid_ports,
-        neighbor.phase_drops,
-        neighbor_detector,
-        neighbor.algo_state,
+    # tuple.__new__ in field order skips the NamedTuple's generated __new__,
+    # a Python function: 0.15 us a view against 0.37 us
+    return tuple.__new__(
+        PulledView,
+        (
+            neighbor.phase,
+            neighbor.synch,
+            remote_port,
+            pull_ack(neighbor, remote_port),
+            neighbor.valid_ports,
+            neighbor.phase_drops,
+            neighbor_detector,
+            neighbor.algo_state,
+        ),
     )
 
 
@@ -168,7 +174,7 @@ def stage(
         {
             "kind": "stage",
             "t": t,
-            "edges": [list(e) for e in sorted(edges)],
+            "edges": list(map(list, sorted(edges))),
             "activated": activated,
             "disconnects": [[u, list(ports)] for u, ports in dropped.items()],
         }
@@ -176,16 +182,20 @@ def stage(
 
     # Guard complementarity is a model property, so it is checked for
     # every node every stage, not just the activated ones.
-    kinds = [enabled_action(state) for state in states]
+    kinds = list(map(enabled_action, states))
 
     replacements: dict[int, NodeState] = {}
     writes: list[tuple[int, int]] = []  # (target node, target port)
     reads = PortReads(states, detectors, maps, inverse)
+    # Each action's log is a fresh dict that becomes its event: storing the
+    # five framing keys into it costs 0.16 us, building a new dict around
+    # **log 0.37 us.
     for u in activated:
-        if kinds[u] is ActionKind.HANDSHAKE:
+        state = states[u]
+        if kinds[u] is _HANDSHAKE:
             occupied = maps[u]  # port -> neighbor
             reads.node = u
-            new_state, write_ports, log = handshake(states[u], reads, detectors[u])
+            new_state, write_ports, event = handshake(state, reads, detectors[u])
             for port in write_ports:
                 v = occupied.get(port)
                 if v is None:
@@ -193,34 +203,25 @@ def stage(
                         f"stage {t}: node {u} block-writes through dead port {port}"
                     )
                 writes.append((v, inverse[v][u]))
-            event = {
-                "kind": "action",
-                "t": t,
-                "node": u,
-                "action": "handshake",
-                "phase": states[u].phase,
-                **log,
-            }
-            if log["branch"] == "init":
+            event["action"] = "handshake"
+            if event["branch"] == "init":
                 last_init_map[u] = occupied
                 event["port_map"] = [[p, v] for p, v in sorted(occupied.items())]
                 event["valid"] = ports_of(new_state.valid_ports)
                 event["invalid"] = ports_of(new_state.invalid_ports)
         else:
-            new_state, log = execute_synch(states[u], algo)
+            new_state, event = execute_synch(state, algo)
             phase_bytes, body = serialize_sync_state(new_state)
-            event = {
-                "kind": "action",
-                "t": t,
-                "node": u,
-                "action": "execute",
-                "phase": states[u].phase,
-                "committed_map": [[p, last_init_map[u][p]] for p in log["committed"]],
-                "state": algo.serialize(new_state.algo_state).hex(),
-                "mem_phase": phase_bytes.hex(),
-                "mem_body": body.hex(),
-                **log,
-            }
+            event["action"] = "execute"
+            init_map = last_init_map[u]
+            event["committed_map"] = [[p, init_map[p]] for p in event["committed"]]
+            event["state"] = algo.serialize(new_state.algo_state).hex()
+            event["mem_phase"] = phase_bytes.hex()
+            event["mem_body"] = body.hex()
+        event["kind"] = "action"
+        event["t"] = t
+        event["node"] = u
+        event["phase"] = state.phase
         replacements[u] = new_state
         events.append(event)
 

@@ -53,6 +53,10 @@ class ActionKind(Enum):
     EXECUTE = "execute"
 
 
+# a module global reads in 0.007 us, a member through its enum class in 0.11
+_HANDSHAKE, _EXECUTE = ActionKind.HANDSHAKE, ActionKind.EXECUTE
+
+
 class PulledView(NamedTuple):
     """Snapshot of the neighbor behind a port, as of the start of the stage
     the pull happened in. Immutable once pulled except for ack refreshes,
@@ -75,8 +79,11 @@ class PulledView(NamedTuple):
 
     def with_ack(self, ack: int) -> "PulledView":
         phase, synch, remote_port, _, valid_ports, phase_drops, detector, algo_state = self
-        return PulledView(
-            phase, synch, remote_port, ack, valid_ports, phase_drops, detector, algo_state
+        # tuple.__new__ skips the generated __new__, a Python function, as
+        # engine.pull_view does
+        return tuple.__new__(
+            PulledView,
+            (phase, synch, remote_port, ack, valid_ports, phase_drops, detector, algo_state),
         )
 
 
@@ -150,7 +157,7 @@ def enabled_action(state: NodeState) -> ActionKind:
     hs, ex = state.synch == 0 or not waited_out, state.synch == 1 and waited_out
     if hs == ex:
         raise ProtocolViolation(f"guards not complementary: handshake={hs} execute={ex}")
-    return ActionKind.HANDSHAKE if hs else ActionKind.EXECUTE
+    return _HANDSHAKE if hs else _EXECUTE
 
 
 def _is_stranger(view: PulledView, phase: int) -> bool:
@@ -203,8 +210,6 @@ def handshake(
     necessarily live this stage), and a log payload for the trace.
     """
     phase = state.phase
-    log: dict = {}
-
     if state.synch == 0:
         # Phase start: pull everything in sight, fix the wait set for the
         # whole phase, and begin handshaking.
@@ -221,7 +226,7 @@ def handshake(
         new.valid_ports = occupied & ~invalid
         new.synch = 1
         waiting = ports_of(new.valid_ports)
-        log["branch"] = "init"
+        log: dict = {"branch": "init"}
     else:
         new = state.clone()
         pulled = new.pulled
@@ -248,10 +253,13 @@ def handshake(
                 if stored.ack != ack:
                     pulled[port] = stored.with_ack(ack)
                 refreshed.append(port)
-        log["branch"] = "continue"
-        log["repulled"] = repulled
-        log["ack_refreshed"] = refreshed
-        log["drops_absorbed"] = ports_of(detector)
+        log = {
+            "branch": "continue",
+            "repulled": repulled,
+            "ack_refreshed": refreshed,
+            # most handshakes absorb no drop: 0.03 us against ports_of's 0.11
+            "drops_absorbed": ports_of(detector) if detector else [],
+        }
 
     # Second half of every handshake: raise acks toward same-phase partners,
     # and block (both sides) any port whose partner already acked us.
@@ -302,14 +310,19 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
     # a stable sort on the bytes alone: states with equal bytes keep port order
     keyed.sort(key=_encoding)
     neighbor_states = [neighbor for _, neighbor in keyed]
+    # positional, in __init__'s order: 0.30 us against 0.68 us with keywords
     new = NodeState(
-        delta=state.delta,
-        phase=state.phase + 1,
-        invalid_ports=state.invalid_ports,
-        valid_ports=state.valid_ports,
-        phase_drops=state.phase_drops,
-        committed_ports=committed_ports,
-        algo_state=algo.step(state.algo_state, neighbor_states),
+        state.delta,
+        0,  # synch
+        state.phase + 1,
+        0,  # acked
+        0,  # blocked
+        state.invalid_ports,
+        state.valid_ports,
+        state.phase_drops,
+        committed_ports,
+        None,  # pulled
+        algo.step(state.algo_state, neighbor_states),
     )
     log = {
         "committed": committed,

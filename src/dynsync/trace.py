@@ -150,11 +150,19 @@ class SchedulerPolicy:
 # The C encoder that json.dumps(obj, sort_keys=True, separators=(",", ":"))
 # builds on every call, built once. It keeps no circular-reference markers: a
 # trace is a tree of fresh dicts and lists, and a cycle still ends in
-# RecursionError.
-_encode = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-    None, ":", ",", True, False, True,
-)
+# RecursionError. It returns its chunks as a list before Python 3.12 and as a
+# tuple from 3.12 on. Without the ``_json`` C module there is no such
+# encoder, and json.dumps, with the same settings, writes the same bytes.
+if json.encoder.c_make_encoder is None:
+
+    def _encode(obj: Any, _level: int) -> tuple[str]:
+        return (json.dumps(obj, sort_keys=True, separators=(",", ":")),)
+
+else:
+    _encode = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", True, False, True,
+    )
 
 
 def _dumps(obj: Any) -> str:
@@ -163,9 +171,7 @@ def _dumps(obj: Any) -> str:
 
 def _line(obj: Any) -> str:
     """One trace line: ``obj`` as ``_dumps`` writes it, and a newline."""
-    chunks = _encode(obj, 0)
-    chunks.append("\n")
-    return "".join(chunks)
+    return "".join(_encode(obj, 0)) + "\n"
 
 
 # A trace is parsed in blocks of whole lines of about this many bytes.

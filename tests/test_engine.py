@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import random_edge_sets
 from dynsync.algorithms import make_algorithm
 from dynsync.cli import bundled_scenarios, execute_scenario, load_config
-from dynsync.engine import Configuration, InternalInvariantError, run, stage
-from dynsync.synchronizer import handshake
+from dynsync.engine import Configuration, InternalInvariantError, pull_view, run, stage
+from dynsync.synchronizer import ActionKind, NodeState, PulledView, enabled_action, handshake
 from dynsync.trace import BLOCK_BYTES, RunTrace, SchedulerPolicy, _dumps, fairness_audit
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate, port_step
 from dynsync.verify import (
@@ -579,3 +579,62 @@ def test_stage_folded_over_port_step_and_resumed_from_a_snapshot_equals_run():
         assert resumed_events == trace.events[first:]
         final = trace.footer["final_phases"]
         assert [s.phase for s in config.states] == [s.phase for s in resumed.states] == final
+
+
+def lists_in(value):
+    """Every list object inside ``value``, itself included."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from lists_in(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from lists_in(item)
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_no_two_events_share_a_dict_or_a_list(name):
+    """Each event is its own dict, built from its action's fresh log, and no
+    list object sits in two events, so an edit to one event's lists leaves
+    every other event as it was."""
+    events = execute_scenario(load_config(name)).trace.events
+    assert len({id(ev) for ev in events}) == len(events)
+    owner = {}
+    for at, ev in enumerate(events):
+        for inner in lists_in(ev):
+            assert owner.setdefault(id(inner), at) == at, (at, owner[id(inner)], inner)
+    assert owner
+
+
+def test_pull_view_is_the_keyword_built_view():
+    neighbor = NodeState(4, 1, 7, 0b0100, 0, 0b0001, 0b1110, 0b0010, 0, None, "s")
+    for remote_port, ack in ((2, 1), (3, 0)):
+        pulled = pull_view(neighbor, remote_port, 0b1000)
+        assert type(pulled) is PulledView and len(pulled) == 8
+        assert pulled == PulledView(
+            phase=7,
+            synch=1,
+            remote_port=remote_port,
+            ack=ack,
+            valid_ports=0b1110,
+            phase_drops=0b0010,
+            detector=0b1000,
+            algo_state="s",
+        )
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_enabled_action_gives_the_members_stage_acts_on(name):
+    """Before every stage, each node's enabled action is an ``ActionKind``
+    member itself, and each activated node's event names that action."""
+    config = load_config(name)
+    graph, (algo, inputs) = config.build_graph(), config.build_algorithm()
+    schedule = config.build_scheduler().schedule(graph.n, graph.lifetime)
+    current = Configuration.initial(graph.n, graph.delta, algo, inputs)
+    ports = graph.ports
+    for t, edges in enumerate(graph.stages):
+        kinds = [enabled_action(node) for node in current.states]
+        assert all(kind is ActionKind.HANDSHAKE or kind is ActionKind.EXECUTE for kind in kinds)
+        maps, inverse, dropped = ports.by_stage[t], ports.inverse[t], ports.dropped[t]
+        events = stage(current, t, edges, maps, inverse, dropped, schedule[t], algo)
+        assert [ev["action"] for ev in events[1:]] == [kinds[u].value for u in schedule[t]]

@@ -114,7 +114,8 @@ class TestPulledView:
     def test_with_ack_changes_only_ack(self):
         v = view(phase=3, synch=1, remote_port=2, valid=(0, 2), drops=(1,), detector=(2,))
         w = v.with_ack(1)
-        assert type(w) is PulledView
+        assert type(w) is PulledView and len(w) == 8
+        assert w == PulledView(**dict(v._asdict(), ack=1))
         assert (w.ack, v.ack) == (1, 0)
         assert w._replace(ack=0) == v
         for name in PulledView._fields:
