@@ -284,23 +284,35 @@ def _not_an_int(i: int, key: str, value: Any) -> ScenarioError:
 
 class TraceIndex:
     """Per-node view of a trace's events, built in one pass over them. It
-    checks, once, each field that several checkers read; a field that one
-    checker reads is checked where it is read. The stage events must be
-    0..horizon-1 in order, each ``activated`` list strictly increasing nodes
-    in 0..n-1, and each stage's actions exactly its activated nodes, in order.
-    Each event's ``t``, each action's ``node`` and each execute's and init
-    handshake's ``phase`` must be integers. Node u's k-th execute must be in
-    phase k, after its k-th init handshake, in phase k too, its ``state`` a
-    string, its ``committed`` a list of integers, and its ``committed_map``
-    a list whose every neighbor is a node and whose ports are, in order,
-    its ``committed`` list.
+    checks every event field that a checker reads, so that a malformed event
+    is named whatever checks are requested, and the checkers test only
+    invariants. The event schema:
 
-    The lists hold the event dicts themselves, so an in-place edit of an
-    event shows through the index, but an edit after the build is not
-    checked. ``acts[u]`` and ``exec_stages[u]`` list the stages node u acts
-    and executes in. ``phase_starts[i]`` is the first stage at whose start
-    every node has completed i phases, for i up to the minimum completed count.
+    - every event has an integer ``t`` and a ``kind``, "stage" or "action";
+    - the stage events are 0..horizon-1 in order, each with an ``edges``
+      list of node pairs u < v < n and an ``activated`` list of strictly
+      increasing nodes in 0..n-1;
+    - each stage's actions are exactly its activated nodes, in order, each
+      with an integer ``node`` and an ``action``, "handshake" or "execute";
+    - a handshake's ``branch`` is "init" or "continue"; an init handshake
+      has an integer ``phase`` and a ``port_map``;
+    - node u's k-th execute has ``phase`` k and follows its k-th init
+      handshake, in phase k too. Its ``state`` is a string, its
+      ``committed``, ``valid`` and ``phase_drops`` are integer lists, its
+      ``committed_map`` a list of [port, neighbor] pairs whose neighbors
+      are nodes, and its ``pulled`` a list of [port, snapshot] pairs; the
+      ports of both are, in order, its ``committed`` list.
+
+    A missing key is named as one. The lists hold the event dicts
+    themselves, so an in-place edit of an event shows through the index,
+    but an edit after the build is not checked. ``acts[u]`` and
+    ``exec_stages[u]`` list the stages node u acts and executes in.
+    ``phase_starts[i]`` is the first stage at whose start every node has
+    completed i phases, for i up to the minimum completed count.
+    ``policy`` is the scheduler the trace header records.
     """
+
+    policy: SchedulerPolicy  # set by RunTrace.index
 
     def __init__(self, n: int) -> None:
         self.stages: list[dict] = []
@@ -317,6 +329,7 @@ class TraceIndex:
         inits, exec_stages = index.inits, index.exec_stages
         last_t = 0
         pending: Iterator[int] = iter(())  # the current stage's nodes yet to act
+        is_ints = {int}.issuperset  # is_ints(map(type, xs)): every x is an int
         try:
             for i, ev in enumerate(events):
                 t = ev["t"]
@@ -335,9 +348,17 @@ class TraceIndex:
                         raise ScenarioError(f"stage event {t} where stage {due} is due")
                     for u in pending:
                         raise ScenarioError(f"stage {t - 1}: activated node {u} did not act")
-                    # the strong oracle alone reads the edges, and checks them
                     if type(ev["edges"]) is not list or type(ev["activated"]) is not list:
                         raise ScenarioError(f"stage {t}: 'edges' and 'activated' must be lists")
+                    for entry in ev["edges"]:
+                        try:
+                            a, b = entry
+                        except (TypeError, ValueError):
+                            a = b = None
+                        if type(a) is not int or type(b) is not int or not 0 <= a < b < n:
+                            raise ScenarioError(
+                                f"stage {t}: edge {entry!r} is not a node pair u < v < {n}"
+                            )
                     low = 0  # each activated node is above the one before
                     for u in ev["activated"]:
                         if type(u) is not int or not low <= u < n:
@@ -387,14 +408,33 @@ class TraceIndex:
                                 f"is not in 0..{n - 1}"
                             )
                         mapped.append(entry[0])
-                    # the ports must be the committed list, which
-                    # check_sandwich reads too
+                    for key in ("committed", "valid", "phase_drops"):
+                        ports = ev[key]
+                        if type(ports) is not list or not is_ints(map(type, ports)):
+                            raise ScenarioError(f"node {u} phase {k}: {key} is not an int list")
                     committed = ev["committed"]
-                    if type(committed) is not list or not {int}.issuperset(map(type, committed)):
-                        raise ScenarioError(f"node {u} phase {k}: committed is not an int list")
                     if mapped != committed:
                         raise ScenarioError(
                             f"node {u} phase {k}: committed_map ports {mapped} "
+                            f"are not the committed ports {committed}"
+                        )
+                    pulled = ev["pulled"]
+                    if type(pulled) is not list:
+                        raise ScenarioError(f"node {u} phase {k}: pulled is not a list")
+                    for entry in pulled:
+                        if type(entry) is not list or len(entry) != 2:
+                            raise ScenarioError(
+                                f"node {u} phase {k}: pulled entry {entry!r} is not a pair"
+                            )
+                        if type(entry[0]) is not int or entry[0] not in committed:
+                            raise ScenarioError(
+                                f"node {u} phase {k}: pulled port {entry[0]!r} "
+                                "is not in committed_map"
+                            )
+                    # execute_synch pulls one snapshot per committed port, in order
+                    if (ports := [entry[0] for entry in pulled]) != committed:
+                        raise ScenarioError(
+                            f"node {u} phase {k}: pulled ports {ports} "
                             f"are not the committed ports {committed}"
                         )
                     executes[u].append(ev)
@@ -404,6 +444,7 @@ class TraceIndex:
                     if branch == "init":
                         if type(ev["phase"]) is not int:
                             raise _not_an_int(i, "phase", ev["phase"])
+                        ev["port_map"]  # extraction compares it with a port assignment
                         inits[u].append(ev)
                     elif branch != "continue":
                         raise ScenarioError(f"trace event {i}: unknown branch {branch!r}")
@@ -484,10 +525,11 @@ class RunTrace:
         header is checked: ``schema`` the one this module writes, ``n``,
         ``delta`` and ``horizon`` integers >= 1 (a JSON boolean is not one),
         ``algorithm`` present, ``inputs`` null or one integer per node, and
-        ``scheduler`` an object that ``SchedulerPolicy.from_header`` takes.
-        After the build, the
-        footer must count the horizon's stages, each node's executes and
-        the n·horizon guard checks."""
+        ``scheduler`` an object that ``SchedulerPolicy.from_header`` takes,
+        whose policy the index keeps. The footer, checked before the build
+        too, must be present, count the horizon's stages and the n·horizon
+        guard checks, and list n execute counts, which after the build must
+        be each node's."""
         header = self.header
         for key in ("schema", "n", "delta", "horizon", "algorithm", "inputs", "scheduler"):
             if key not in header:
@@ -506,9 +548,9 @@ class RunTrace:
             type(inputs) is list and len(inputs) == n and {int}.issuperset(map(type, inputs))
         ):
             raise ScenarioError(f"trace header: inputs must be null or {n} integers: {inputs!r}")
-        SchedulerPolicy.from_header(header)
-        index = TraceIndex.build(n, horizon, self.events)
-        # after the build, so that a truncated trace reads as one
+        policy = SchedulerPolicy.from_header(header)
+        # the footer by itself before the build, which allocates per node,
+        # so that a header n the file cannot hold is named first
         if not self.footer:
             raise ScenarioError("trace has no footer")
         stages, phases = self.footer.get("stages"), self.footer.get("final_phases")
@@ -516,17 +558,21 @@ class RunTrace:
             raise ScenarioError(
                 f"trace footer: stages must be the horizon {horizon}, got {stages!r}"
             )
-        counts = [len(executes) for executes in index.executes]
-        # n >= 1, so equal lists are not empty, and a boolean is not an int
-        if type(phases) is not list or phases != counts or set(map(type, phases)) != {int}:
-            raise ScenarioError(
-                f"trace footer: final_phases must be each node's executes {counts}, got {phases!r}"
-            )
+        if type(phases) is not list or len(phases) != n:
+            raise ScenarioError(f"trace footer: final_phases must hold {n} counts, got {phases!r}")
         # the run evaluates every node's guard once per stage
         guards = self.footer.get("guard_checks")
         if type(guards) is not int or guards != n * horizon:
             raise ScenarioError(
                 f"trace footer: guard_checks must be n·horizon {n * horizon}, got {guards!r}"
+            )
+        index = TraceIndex.build(n, horizon, self.events)
+        index.policy = policy
+        counts = [len(executes) for executes in index.executes]
+        # n >= 1, so equal lists are not empty, and a boolean is not an int
+        if phases != counts or set(map(type, phases)) != {int}:
+            raise ScenarioError(
+                f"trace footer: final_phases must be each node's executes {counts}, got {phases!r}"
             )
         return index
 
@@ -563,5 +609,5 @@ def fairness_audit(trace: RunTrace) -> FairnessReport:
             # the worst node is the first a stage-by-stage walk finds
             if t - last > max_gap or (t - last == max_gap and t < worst_t):
                 max_gap, worst, worst_t = t - last, u, t
-    bound = SchedulerPolicy.from_header(trace.header).promised_gap(trace.n, end)
+    bound = trace.index.policy.promised_gap(trace.n, end)
     return FairnessReport(max_gap=max_gap, bound=bound, worst_node=worst, ok=max_gap <= bound)

@@ -8,8 +8,11 @@ synchronizer state or share a bug with the code it checks. ``extract_H``
 recovers the committed history, ``check_strong_nontriviality`` is the
 oracle that re-derives from timelines alone exactly which edges each phase
 must have committed, and ``check_trace`` is the one verdict path that runs
-extraction, the fairness audit and every requested checker. Liveness and
-fairness read the scheduler's promise through ``SchedulerPolicy.from_header``.
+extraction, the fairness audit and every requested checker. The index
+checks the shape of every event field a checker reads, so the checkers test
+only invariants; liveness and fairness read the scheduler's promise through
+the index's ``policy``. ``check_request`` is the one rule for which checks
+a config, ``dynsync run --checks`` or a caller may request.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from bisect import bisect_left
 from typing import Any, NamedTuple, Sequence
 
 from .algorithms import SyncAlgorithm, make_algorithm, reference_run
-from .trace import FairnessReport, RunTrace, SchedulerPolicy, fairness_audit
+from .trace import FairnessReport, RunTrace, fairness_audit
 from .tvg import Edge, PortAssignment, ScenarioError, edge
 
 
@@ -41,8 +44,8 @@ class ExtractedSynch(NamedTuple):
 def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> ExtractedSynch:
     """Recover the per-phase committed edge sets, failing loudly on any
     one-sided commitment. When a port assignment is supplied, the trace's
-    embedded ground-truth port maps, which nothing else reads, are checked
-    present and cross-checked against it."""
+    embedded ground-truth port maps, which nothing else reads, are
+    cross-checked against it."""
     per_node = trace.index.executes
     n, delta = trace.n, trace.header["delta"]
     completed = [len(evs) for evs in per_node]
@@ -58,10 +61,6 @@ def extract_H(trace: RunTrace, ports: PortAssignment | None = None) -> Extracted
     if ports is not None:
         for u in range(n):
             for ev in trace.index.inits[u]:
-                if "port_map" not in ev:
-                    raise ScenarioError(
-                        f"stage {ev['t']}: init handshake of node {u} has no port_map"
-                    )
                 expected = sorted((p, v) for p, v in ports.occupied(ev["t"], u).items())
                 if [list(pair) for pair in expected] != ev["port_map"]:
                     raise ScenarioError(
@@ -124,15 +123,11 @@ class InvariantReport(NamedTuple):
 
 def check_sandwich(trace: RunTrace) -> InvariantReport:
     """At every phase commit: the ports still waited on are all committed,
-    and nothing outside the phase's wait-set origin is. The index checks
-    ``committed``."""
+    and nothing outside the phase's wait-set origin is."""
     checked, failures = 0, []
     for u, events in enumerate(trace.index.executes):
         for ev in events:
             checked += 1
-            for key in ("valid", "phase_drops"):
-                if type(ev.get(key)) is not list or not {int}.issuperset(map(type, ev[key])):
-                    raise ScenarioError(f"node {u} phase {ev['phase']}: {key} is not an int list")
             committed = set(ev["committed"])
             valid = set(ev["valid"])
             waiting = valid - set(ev["phase_drops"])
@@ -161,21 +156,9 @@ def check_pulled_consistency(
     ]
     for u, events in enumerate(trace.index.executes):
         for ev in events:
-            resolved = {p: v for p, v in ev["committed_map"]}
-            if type(ev.get("pulled")) is not list:
-                raise ScenarioError(f"node {u} phase {ev['phase']}: pulled is not a list")
-            for entry in ev["pulled"]:
+            # the index checks that the pulled ports are the committed ones
+            for (p, partner), (_, snapshot) in zip(ev["committed_map"], ev["pulled"]):
                 checked += 1
-                if type(entry) is not list or len(entry) != 2:
-                    raise ScenarioError(
-                        f"node {u} phase {ev['phase']}: pulled entry {entry!r} is not a pair"
-                    )
-                p, snapshot = entry
-                if type(p) is not int or p not in resolved:
-                    raise ScenarioError(
-                        f"node {u} phase {ev['phase']}: pulled port {p!r} is not in committed_map"
-                    )
-                partner = resolved[p]
                 states = boundary[partner]
                 want = states[ev["phase"]] if ev["phase"] < len(states) else None
                 if want is None:
@@ -232,13 +215,7 @@ def check_strong_nontriviality(
         run_start = present.get
         present = {}
         upper: dict[int, list[int]] = {}
-        for entry in ev["edges"]:
-            try:
-                u, v = entry
-            except (TypeError, ValueError):
-                u = v = None
-            if type(u) is not int or type(v) is not int or not 0 <= u < v < n:
-                raise ScenarioError(f"stage {t}: edge {entry!r} is not a node pair u < v < {n}")
+        for u, v in ev["edges"]:
             key = u * n + v
             present[key] = run_start(key, t)
             if u in upper:
@@ -332,7 +309,7 @@ def check_liveness(trace: RunTrace, target: int) -> LivenessReport:
     starts = trace.index.phase_starts
     reached = len(starts) - 1
     first_stage = starts[: min(target, reached) + 1]
-    promise = SchedulerPolicy.from_header(trace.header).promised_gap(trace.n, trace.horizon)
+    promise = trace.index.policy.promised_gap(trace.n, trace.horizon)
     window = promise * (trace.header["delta"] + 2) * trace.n * 4
     stalls = [b - a for a, b in zip(first_stage, first_stage[1:])] or [0]
     if reached < target:
@@ -350,6 +327,26 @@ def check_liveness(trace: RunTrace, target: int) -> LivenessReport:
 
 
 CHECK_NAMES = ("correctness", "strong-nontriviality", "liveness", "fairness")
+
+
+def check_request(checks: Any, what: str = "checks") -> None:
+    """The rule for a check request, which a config's ``checks``, ``dynsync
+    run --checks`` and ``check_trace`` share: an object whose keys are check
+    names, each set to a boolean, and liveness to false or a non-negative
+    integer target. ``what`` names the request in the errors."""
+    if not isinstance(checks, dict):
+        raise ScenarioError(f"{what} must be an object")
+    unknown = set(checks) - set(CHECK_NAMES)
+    if unknown:
+        raise ScenarioError(f"unknown {what}: {sorted(unknown)}")
+    for name, value in checks.items():
+        if name == "liveness":
+            if not (value is False or (type(value) is int and value >= 0)):
+                raise ScenarioError(
+                    f"liveness check takes false or a non-negative integer target, got {value!r}"
+                )
+        elif not isinstance(value, bool):
+            raise ScenarioError(f"{name} check takes a boolean, got {value!r}")
 
 
 class CheckResult(NamedTuple):
@@ -371,13 +368,17 @@ def check_trace(trace: RunTrace, checks: dict, ports: PortAssignment | None = No
     """Extract the history, audit fairness and run each requested checker,
     each once.
 
-    ``checks`` maps check names to settings, as a config's ``checks`` does:
-    a name whose setting is False is not requested, so a liveness target of 0
-    is. The algorithm and inputs are rebuilt from the trace header, and
-    ``ports`` goes to ``extract_H`` for the port-map cross-check. A malformed
-    header or event raises ``ScenarioError``; a failed extraction is the first
-    result, ``extraction``, and fails the checks that need the history.
+    ``checks`` maps check names to settings, as a config's ``checks`` does,
+    under ``check_request``'s rule: a name whose setting is False is not
+    requested, so a liveness target of 0 is. The algorithm and inputs are
+    rebuilt from the trace header, and ``ports`` goes to ``extract_H`` for
+    the port-map cross-check. A bad request, and a malformed header, event
+    or footer, raise ``ScenarioError`` whatever checks are requested: the
+    trace index checks every field a checker reads. A failed extraction is
+    the first result, ``extraction``, and fails the checks that need the
+    history.
     """
+    check_request(checks)
     trace.index  # bad input raises here, not as a failed extraction
     algo, inputs = make_algorithm(trace.header["algorithm"]), trace.header["inputs"]
     results = Verdict()

@@ -145,6 +145,11 @@ class TestRunCommand:
         report = (out / "tiny.report.txt").read_text()
         assert "CHECK correctness" in report
         assert "CHECK liveness" not in report
+        # a selection names checks; the config's settings still apply
+        assert main(["run", str(path), "--out", str(out), "--checks", "liveness"]) == EXIT_OK
+        report = (out / "tiny.report.txt").read_text()
+        assert "CHECK liveness PASS min phase reached 3 (target 3)" in report
+        assert "CHECK correctness" not in report
 
     def test_quiet_mode_prints_only_result(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -236,6 +241,30 @@ class TestRunCommand:
         path = write_config(tmp_path)
         code = main(["run", str(path), "--out", str(tmp_path), "--checks", "vibes"])
         assert code == EXIT_CONFIG_INVALID
+
+    @pytest.mark.parametrize(
+        "checks, selection, message",
+        [
+            (5, None, "checks must be an object"),
+            ({"soundness": True}, None, "unknown checks: ['soundness']"),
+            (
+                {"liveness": "fast"},
+                None,
+                "liveness check takes false or a non-negative integer target, got 'fast'",
+            ),
+            ({"fairness": None}, None, "fairness check takes a boolean, got None"),
+            ({"fairness": True}, "vibes,bogus", "unknown checks requested: ['bogus', 'vibes']"),
+        ],
+    )
+    def test_a_bad_check_request_keeps_its_message(
+        self, tmp_path, capsys, checks, selection, message
+    ):
+        # the config and run --checks apply the rule check_trace applies
+        path = write_config(tmp_path, checks=checks)
+        selected = ["--checks", selection] if selection else []
+        code = main(["run", str(path), "--out", str(tmp_path), *selected])
+        assert code == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_scripted_dynamics_shorter_than_horizon_exits_config_invalid(self, tmp_path, capsys):
         path = write_config(
@@ -354,6 +383,7 @@ def test_a_failed_extraction_is_the_first_check_and_fails_the_run(tmp_path, monk
         ev = next(ev for ev in trace.events if ev.get("committed_map"))
         port, neighbor = ev["committed_map"].pop()
         ev["committed"].remove(port)
+        ev["pulled"].pop()
         dropped.append((ev["node"], ev["phase"], neighbor))
         return trace
 

@@ -2,7 +2,9 @@
 filter of the event list, building it refuses a malformed trace with a named
 error, and the checkers read it instead of rescanning the trace once per
 node."""
+import functools
 import json
+import os
 import re
 
 import pytest
@@ -13,6 +15,7 @@ from dynsync.engine import run
 from dynsync.trace import RunTrace, SchedulerPolicy, TraceIndex, fairness_audit
 from dynsync.tvg import ScenarioError, TimeVaryingGraph, generate
 from dynsync.verify import (
+    CHECK_NAMES,
     check_correctness,
     check_liveness,
     check_pulled_consistency,
@@ -32,12 +35,6 @@ def churn_trace(seed, n=6, delta=2, horizon=80):
     return run(g, sched, algo), algo
 
 
-def assert_each_raises(checks, data, message):
-    for check in checks:
-        with pytest.raises(ScenarioError, match=message):
-            check(RunTrace.from_jsonl(data))
-
-
 def assert_every_check_raises(data, algo, message):
     """check_trace, extract_H and the six checkers each refuse the trace
     ``data``; the checkers that take inputs get those the header records."""
@@ -51,7 +48,9 @@ def assert_every_check_raises(data, algo, message):
         lambda tr: check_liveness(tr, 1),
         fairness_audit,
     ]
-    assert_each_raises(checks, data, message)
+    for check in checks:
+        with pytest.raises(ScenarioError, match=message):
+            check(RunTrace.from_jsonl(data))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -95,24 +94,25 @@ def test_index_holds_the_events_themselves():
 def test_malformed_event_order_and_node_are_named_errors():
     trace, algo = churn_trace(2)
     lines = trace.to_jsonl().decode().splitlines()
-    header, events = lines[0], lines[1:-1]
+    # the footer stays, so that the index is built
+    header, events, footer = lines[0], lines[1:-1], lines[-1]
     last = json.loads(events[-1])
-    swapped = RunTrace.from_jsonl("\n".join([header, events[-1], *events[:-1]]).encode())
+    swapped = RunTrace.from_jsonl("\n".join([header, events[-1], *events[:-1], footer]).encode())
     with pytest.raises(
         ScenarioError, match=f"stage {last['t']}: action of node {last['node']} before the stage"
     ):
         swapped.index
-    rewound = RunTrace.from_jsonl("\n".join([header, *events, events[0]]).encode())
+    rewound = RunTrace.from_jsonl("\n".join([header, *events, events[0], footer]).encode())
     with pytest.raises(ScenarioError, match="trace event at stage 0 follows stage"):
         rewound.index
     stray = json.loads(next(line for line in events if '"kind":"action"' in line))
     stray["node"] = trace.n
-    outside = RunTrace.from_jsonl("\n".join([header, json.dumps(stray)]).encode())
+    outside = RunTrace.from_jsonl("\n".join([header, json.dumps(stray), footer]).encode())
     with pytest.raises(ScenarioError, match="action of node"):
         outside.index
     late = json.loads(next(line for line in events if '"action":"execute"' in line))
     late["t"] = trace.horizon + 5
-    past = RunTrace.from_jsonl("\n".join([header, *events, json.dumps(late)]).encode())
+    past = RunTrace.from_jsonl("\n".join([header, *events, json.dumps(late), footer]).encode())
     with pytest.raises(ScenarioError, match=f"stage {trace.horizon + 5}, horizon is"):
         past.index
     # the first action of stage 50 swapped with stage 50's own event
@@ -121,13 +121,13 @@ def test_malformed_event_order_and_node_are_named_errors():
     first = rows[at + 1]
     assert first["kind"] == "action" and first["t"] == 50
     events[at], events[at + 1] = events[at + 1], events[at]
-    early = RunTrace.from_jsonl("\n".join([header, *events]).encode())
+    early = RunTrace.from_jsonl("\n".join([header, *events, footer]).encode())
     with pytest.raises(
         ScenarioError, match=f"stage 50: action of node {first['node']} before the stage event"
     ):
         early.index
     # a second header line, and an event without its stage
-    lines = [header, *events]
+    lines = [header, *events, footer]
     assert_every_check_raises(
         "\n".join([*lines[:10], header, *lines[10:]]).encode(), algo, "trace line 11: second header"
     )
@@ -340,8 +340,8 @@ def action_first(events, t):
 
 
 def truncate(events, t):
-    # the footer has no stage, so it goes too
-    return [ev for ev in events if ev.get("t", t) < t]
+    # the footer has no stage, and stays, so that the index is built
+    return [ev for ev in events if ev.get("t", -1) < t]
 
 
 @pytest.mark.parametrize(
@@ -403,11 +403,8 @@ def test_corrupt_stage_contents_are_named_where_read(key, entry, message):
     assert trace.n == 6
     rows[at][key][0] = entry
     message = f"stage {rows[at]['t']}: {message}"
-    # the strong oracle alone reads the edges; the index checks the activations
-    if key == "edges":
-        assert_each_raises([check_strong_nontriviality], encode(header, rows), message)
-    else:
-        assert_every_check_raises(encode(header, rows), algo, message)
+    # the index checks both, whatever reads them
+    assert_every_check_raises(encode(header, rows), algo, message)
 
 
 @pytest.mark.parametrize("twice", [False, True])
@@ -486,7 +483,6 @@ def test_pulled_port_outside_the_commit_is_named():
     trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     at = first_commit(rows)
-    check = lambda tr: check_pulled_consistency(tr, algo)
     for entry, message in [
         ([99, None], "pulled port 99 is not in committed_map"),
         ([[0], None], "pulled port [0] is not in committed_map"),
@@ -501,7 +497,7 @@ def test_pulled_port_outside_the_commit_is_named():
         ev["pulled"][0] = entry
         message = f"node {ev['node']} phase {ev['phase']}: {message}"
         mutant = rows[:at] + [ev] + rows[at + 1 :]
-        assert_each_raises([check], encode(header, mutant), re.escape(message))
+        assert_every_check_raises(encode(header, mutant), algo, re.escape(message))
 
 
 @pytest.mark.parametrize("value", ["missing", 5, None, ["0"], [[0]], [True], ["x", 0]])
@@ -533,14 +529,12 @@ def test_committed_that_is_not_an_int_list_fails_a_fairness_and_liveness_check()
 @pytest.mark.parametrize("key", ["committed", "valid", "phase_drops"])
 @pytest.mark.parametrize("value", [5, None, ["0"], [[0]], [True]])
 def test_sandwich_fields_that_are_not_int_lists_are_named(key, value):
-    trace, _ = churn_trace(2)
+    trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
     ev = rows[first_commit(rows)]
     ev[key] = value
-    # check_sandwich alone reads valid and phase_drops; the index, which
-    # every check builds, names committed (above)
     message = f"node {ev['node']} phase {ev['phase']}: {key} is not an int list"
-    assert_each_raises([check_sandwich], encode(header, rows), message)
+    assert_every_check_raises(encode(header, rows), algo, re.escape(message))
 
 
 @pytest.mark.parametrize("value", ["missing", None, 7, ["ab"], {"hex": "ab"}])
@@ -563,15 +557,15 @@ def test_execute_state_that_is_missing_or_not_a_string_is_named(value):
 def test_pulled_that_is_missing_or_not_a_list_is_named(value):
     trace, algo = churn_trace(2)
     header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
-    ev = rows[first_commit(rows)]
+    at = first_commit(rows)
+    ev = rows[at]
     if value == "missing":
         del ev["pulled"]
+        message = f"trace event {at} has no 'pulled' key"
     else:
         ev["pulled"] = value
-    # pulled consistency alone reads them
-    message = f"node {ev['node']} phase {ev['phase']}: pulled is not a list"
-    check = lambda tr: check_pulled_consistency(tr, algo)
-    assert_each_raises([check], encode(header, rows), message)
+        message = f"node {ev['node']} phase {ev['phase']}: pulled is not a list"
+    assert_every_check_raises(encode(header, rows), algo, message)
 
 
 SCHEDULER_KEYS = ("kind", "seed", "p_activate", "fairness_bound")
@@ -731,6 +725,9 @@ def test_footer_must_count_the_stages_and_each_nodes_executes(key, value):
     elif key == "guard_checks":
         # one guard evaluation per node per stage, 6 nodes by 80 stages
         message = f"trace footer: guard_checks must be n·horizon 480, got {value!r}"
+    elif type(value) is not list or len(value) != 6:
+        # named before the build, which allocates per node
+        message = f"trace footer: final_phases must hold 6 counts, got {value!r}"
     else:
         message = f"trace footer: final_phases must be each node's executes {counts}, got {value!r}"
     assert_every_check_raises(encode(header, rows), algo, re.escape(message))
@@ -742,16 +739,79 @@ def test_trace_without_a_footer_is_named():
     assert_every_check_raises(encode(header, rows[:-1]), algo, "trace has no footer")
 
 
-def test_init_handshake_without_a_port_map_is_a_failed_extraction():
-    # extraction alone reads port_map, and only when given the port assignment
-    config = load_config("churn_mesh")
-    graph = config.build_graph()
-    algo, inputs = config.build_algorithm()
-    trace = run(graph, config.build_scheduler(), algo, inputs=inputs)
-    first = next(ev for ev in trace.events if ev.get("branch") == "init")
-    del first["port_map"]
-    message = f"stage {first['t']}: init handshake of node {first['node']} has no port_map"
-    results = check_trace(trace, config.checks, graph.ports)
-    assert results[0] == ("extraction", False, message)
-    assert results.extracted is None
-    assert check_trace(trace, config.checks).extracted is not None
+def test_init_handshake_without_a_port_map_is_named():
+    # extraction alone reads port_map, and only when given the port
+    # assignment, but the index names a missing one under any check request
+    trace, algo = churn_trace(2)
+    header, *rows = map(json.loads, trace.to_jsonl().decode().splitlines())
+    at = next(i for i, ev in enumerate(rows) if ev.get("branch") == "init")
+    del rows[at]["port_map"]
+    assert_every_check_raises(encode(header, rows), algo, f"trace event {at} has no 'port_map' key")
+
+
+@functools.cache
+def churn_mesh_lines():
+    return execute_scenario(load_config("churn_mesh")).trace.to_jsonl().decode().splitlines()
+
+
+def set_field(key, value):
+    return lambda ev: ev.update({key: value})
+
+
+def del_field(key):
+    return lambda ev: ev.pop(key)
+
+
+def set_entry(key, value):
+    return lambda ev: ev[key].__setitem__(0, value)
+
+
+# the rows an edit may pick, by label: the first of each
+ROWS = {
+    "stage": lambda ev: ev["kind"] == "stage" and ev["edges"] and ev["activated"],
+    "init": lambda ev: ev.get("branch") == "init",
+    "execute": lambda ev: ev.get("action") == "execute" and len(ev["pulled"]) > 1,
+}
+
+# each edit corrupts one field of the first row of its label
+FIELD_EDITS = {
+    "t": ("stage", set_field("t", "0")),
+    "kind": ("stage", del_field("kind")),
+    "edges": ("stage", set_field("edges", 7)),
+    "edge": ("stage", set_entry("edges", [5, 2])),
+    "activated": ("stage", set_entry("activated", -1)),
+    "node": ("init", set_field("node", "1")),
+    "action": ("init", set_field("action", "bogus")),
+    "branch": ("init", set_field("branch", "bogus")),
+    "init-phase": ("init", set_field("phase", True)),
+    "port_map": ("init", del_field("port_map")),
+    "execute-phase": ("execute", set_field("phase", 0.0)),
+    "state": ("execute", set_field("state", None)),
+    "committed": ("execute", set_field("committed", ["x"])),
+    "committed_map": ("execute", set_field("committed_map", 5)),
+    "valid": ("execute", set_field("valid", None)),
+    "phase_drops": ("execute", set_field("phase_drops", "x")),
+    "pulled": ("execute", set_field("pulled", None)),
+    "pulled-entry": ("execute", set_entry("pulled", 7)),
+    "pulled-dropped": ("execute", lambda ev: ev["pulled"].pop()),
+    "pulled-order": ("execute", lambda ev: ev["pulled"].reverse()),
+}
+
+# no check, each check alone, and every check
+REQUESTS = [{}, *({name: 1 if name == "liveness" else True} for name in CHECK_NAMES), EVERY_CHECK]
+
+
+@pytest.mark.parametrize("edit", FIELD_EDITS)
+def test_every_field_a_checker_reads_is_named_by_the_index_under_any_request(edit):
+    header, *rows = map(json.loads, churn_mesh_lines())
+    label, corrupt = FIELD_EDITS[edit]
+    corrupt(next(ev for ev in rows if ROWS[label](ev)))
+    trace = RunTrace.from_jsonl(encode(header, rows))
+    for checks in REQUESTS:
+        with pytest.raises(ScenarioError) as raised:
+            check_trace(trace, checks)
+        tb = raised.tb
+        while tb.tb_next:
+            tb = tb.tb_next
+        where = tb.tb_frame.f_code.co_filename
+        assert where.endswith(f"dynsync{os.sep}trace.py"), (checks, where, raised.value)

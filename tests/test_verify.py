@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -67,18 +68,21 @@ class TestExtract:
 def reference_extract(trace, ports=None):
     """extract_H's docstring by brute force over the event list. Node u's
     i-th execute commits phase i, and the nodes its committed_map names;
-    the map's ports must be the execute's committed list; every commit must
-    be mutual between nodes that both completed the phase;
-    with ports, every init handshake carries a port_map, its pairs sorted,
-    equal to the assignment's; each phase up to the minimum completed count
-    is the set of committed edges, no node above the degree bound."""
+    the map's ports must be the execute's committed list; every init
+    handshake carries a port_map, as the trace index requires; every commit
+    must be mutual between nodes that both completed the phase; with ports,
+    every port_map, its pairs sorted, equals the assignment's; each phase up
+    to the minimum completed count is the set of committed edges, no node
+    above the degree bound."""
     n, delta = trace.n, trace.header["delta"]
     executes = [
         [ev for ev in trace.events if ev.get("action") == "execute" and ev["node"] == u]
         for u in range(n)
     ]
     completed = [len(evs) for evs in executes]
-    for ev in trace.events:
+    for i, ev in enumerate(trace.events):
+        if ev.get("branch") == "init" and "port_map" not in ev:
+            raise ScenarioError(f"trace event {i} has no 'port_map' key")
         if ev.get("action") == "execute":
             mapped = [p for p, _ in ev["committed_map"]]
             if mapped != ev["committed"]:
@@ -101,8 +105,6 @@ def reference_extract(trace, ports=None):
         for ev in trace.events:
             if ev.get("branch") == "init":
                 t, u = ev["t"], ev["node"]
-                if "port_map" not in ev:
-                    raise ScenarioError(f"stage {t}: init handshake of node {u} has no port_map")
                 if ev["port_map"] != sorted([p, v] for p, v in ports.by_stage[t][u].items()):
                     raise ScenarioError(
                         f"stage {t}: trace port map for node {u} disagrees with assignment"
@@ -128,8 +130,8 @@ def extraction_outcome(extract, trace, ports):
 def forged_runs(draw):
     """A scripted run of up to 5 nodes and 14 stages, then, maybe, one forged
     execute or init: a committed neighbor dropped or added (the node itself
-    included) with its port in ``committed`` too, a port added to the
-    committed_map alone, or a port_map removed or reversed."""
+    included) with its port in ``committed`` and ``pulled`` too, a port
+    added to the committed_map alone, or a port_map removed or reversed."""
     n = draw(st.integers(1, 5))
     delta = draw(st.integers(1, 3))
     horizon = draw(st.integers(1, 14))
@@ -153,13 +155,14 @@ def forged_runs(draw):
     if forge == "drop" and any(ev["committed_map"] for ev in executes):
         ev = draw(st.sampled_from([ev for ev in executes if ev["committed_map"]]))
         at = draw(st.integers(0, len(ev["committed_map"]) - 1))
-        del ev["committed_map"][at], ev["committed"][at]
+        del ev["committed_map"][at], ev["committed"][at], ev["pulled"][at]
     elif forge in ("add", "map_only") and executes:
         ev = draw(st.sampled_from(executes))
         port = draw(st.integers(0, delta))
         ev["committed_map"].append([port, draw(st.integers(0, n - 1))])
         if forge == "add":
             ev["committed"].append(port)
+            ev["pulled"].append([port, ev["state"]])
     elif forge == "port_map" and inits:
         ev = draw(st.sampled_from(inits))
         if len(ev["port_map"]) > 1:
@@ -363,6 +366,7 @@ def forge_missing_edge(header, executes):
         ev = executes[u][0]
         ev["committed_map"] = [[p, w] for p, w in ev["committed_map"] if w != v]
         ev["committed"] = [p for p, _ in ev["committed_map"]]
+        ev["pulled"] = [entry for entry in ev["pulled"] if entry[0] in ev["committed"]]
     return "strong-nontriviality", "missing [(0, 1, 0)] extra []"
 
 
@@ -389,6 +393,27 @@ def test_a_failed_check_names_what_failed(forge):
     assert not result.ok
     # a forged state also makes its neighbors' snapshots of it stale
     assert result.detail.startswith(detail), result.detail
+
+
+LIVENESS_TAKES = "liveness check takes false or a non-negative integer target"
+
+
+@pytest.mark.parametrize(
+    "checks, message",
+    [
+        ({"liveness": "3"}, f"{LIVENESS_TAKES}, got '3'"),
+        ({"liveness": True}, f"{LIVENESS_TAKES}, got True"),
+        (2.5, "checks must be an object"),
+        (None, "checks must be an object"),
+        ({"bogus": True}, "unknown checks: ['bogus']"),
+        ({"fairness": "yes"}, "fairness check takes a boolean, got 'yes'"),
+        ({"correctness": 1}, "correctness check takes a boolean, got 1"),
+    ],
+)
+def test_a_bad_check_request_is_named(checks, message):
+    trace = RunTrace.from_jsonl("\n".join(static_triangle_lines()).encode())
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        check_trace(trace, checks)
 
 
 def test_a_snapshot_of_a_partner_short_of_the_phase_is_a_failure():
