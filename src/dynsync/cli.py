@@ -7,7 +7,8 @@ registered two-node commit protocol; ``scenarios`` lists the bundled configs.
 
 All artifacts are deterministic functions of the config: no timestamps, sorted
 keys, fixed separators. Exit codes: 0 all requested checks passed, 1 a check
-failed, 2 the config or arguments are invalid, 3 an internal invariant broke.
+failed, 2 the config or arguments are invalid (a scenario too large for
+memory included), 3 an internal invariant broke or any other error was raised.
 """
 from __future__ import annotations
 
@@ -54,6 +55,12 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _require_size(value: Any, what: str) -> None:
+    # a JSON true is a Python int, and a size over sys.maxsize cannot index a list
+    ok = type(value) is int and 1 <= value <= sys.maxsize
+    _require(ok, f"{what} must be an integer from 1 to {sys.maxsize}, got {value!r}")
+
+
 class ScenarioConfig(NamedTuple):
     """Validated declarative scenario: sizes, dynamics, scheduler, algorithm,
     and which checks gate the exit status."""
@@ -97,10 +104,8 @@ class ScenarioConfig(NamedTuple):
             and self.name not in ("", ".", ".."),
             f"name must be a plain file name, got {self.name!r}",
         )
-        # JSON true is a Python int, so every integer's type must be int itself
         for key in ("n", "delta", "horizon"):
-            value = getattr(self, key)
-            _require(type(value) is int and value >= 1, f"{key} must be >= 1, got {value!r}")
+            _require_size(getattr(self, key), key)
         _require(type(self.seed) is int, f"seed must be an integer, got {self.seed!r}")
         for section in ("dynamics", "scheduler", "algorithm"):
             value = getattr(self, section)
@@ -393,6 +398,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         selected = set(args.checks.split(","))
         # names only: False is a setting that every check takes
         check_request(dict.fromkeys(selected, False), "checks requested")
+        unset = sorted(name for name in selected if config.checks.get(name, False) is False)
+        _require(not unset, f"checks requested but not configured: {unset}")
         config = config._replace(checks={k: v for k, v in config.checks.items() if k in selected})
     out_dir = Path(args.out)
     return finish(execute_scenario(config, out_dir), out_dir, args.quiet)
@@ -424,8 +431,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _require(isinstance(raw, dict), "history file root must be an object")
         n, delta = raw.get("n"), raw.get("delta")
         steps = raw.get("steps")
-        _require(type(n) is int and n >= 1, "history needs n >= 1")
-        _require(type(delta) is int and delta >= 1, "history needs delta >= 1")
+        _require_size(n, "history n")
+        _require_size(delta, "history delta")
         _require(isinstance(steps, list) and steps, "history needs a non-empty steps array")
         graph, scheduler = build_weak_nontriviality(n, delta, steps)
     except (ScenarioError, json.JSONDecodeError, OSError) as exc:
@@ -566,8 +573,16 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_INVALID
+    except MemoryError:
+        print("config error: the scenario does not fit in memory", file=sys.stderr)
+        return EXIT_CONFIG_INVALID
     except (ProtocolViolation, InternalInvariantError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        import traceback  # only on this path: it loads linecache and tokenize
+        traceback.print_exc()
+        print(f"internal invariant violated: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if gc_was_enabled:

@@ -207,7 +207,7 @@ def handshake(
     bug. ``detector`` is this node's accumulated disconnection word at
     stage start. Returns the replacement state, the local ports it blocked,
     through which a remote block write must be sent (their edges are
-    necessarily live this stage), and a log payload for the trace.
+    necessarily live this stage), and the log: each event field it fixes.
     """
     phase = state.phase
     if state.synch == 0:
@@ -226,7 +226,13 @@ def handshake(
         new.valid_ports = occupied & ~invalid
         new.synch = 1
         waiting = ports_of(new.valid_ports)
-        log: dict = {"branch": "init"}
+        log: dict = {
+            "action": "handshake",
+            "phase": phase,
+            "branch": "init",
+            "valid": waiting,
+            "invalid": ports_of(invalid),
+        }
     else:
         new = state.clone()
         pulled = new.pulled
@@ -254,6 +260,8 @@ def handshake(
                     pulled[port] = stored.with_ack(ack)
                 refreshed.append(port)
         log = {
+            "action": "handshake",
+            "phase": phase,
             "branch": "continue",
             "repulled": repulled,
             "ack_refreshed": refreshed,
@@ -296,7 +304,8 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
 
     Each committed neighbor's algorithm state is encoded once: the step gets
     the states ordered by those bytes, as ``algo.sort_states`` orders them,
-    and the log's ``pulled`` lists them by port."""
+    and the log's ``pulled`` lists them by port. Returns the new state and
+    the log: each event field it fixes, its footprint's ``mem_*`` included."""
     committed_ports = state.valid_ports & state.blocked
     committed = ports_of(committed_ports)
     pulled, serialize = state.pulled, algo.serialize
@@ -324,11 +333,17 @@ def execute_synch(state: NodeState, algo) -> tuple[NodeState, dict]:
         None,  # pulled
         algo.step(state.algo_state, neighbor_states),
     )
+    phase_bytes, body = serialize_sync_state(new)
     log = {
+        "action": "execute",
+        "phase": state.phase,
         "committed": committed,
         "valid": ports_of(state.valid_ports),
         "phase_drops": ports_of(state.phase_drops),
         "pulled": pulled_log,
+        "state": serialize(new.algo_state).hex(),
+        "mem_phase": phase_bytes.hex(),
+        "mem_body": body.hex(),
     }
     return new, log
 

@@ -99,7 +99,7 @@ def set_is_stranger(view: SetView, phase: int) -> bool:
 
 def set_handshake(s: dict, reads: dict, detector: frozenset[int]):
     new = dict(s, pulled=dict(s["pulled"]))
-    log: dict = {}
+    log: dict = {"action": "handshake", "phase": s["phase"]}
     if s["synch"] == 0:
         new["pulled"] = dict(reads)
         new["phase_drops"] = frozenset()
@@ -110,6 +110,8 @@ def set_handshake(s: dict, reads: dict, detector: frozenset[int]):
         new["synch"] = 1
         waiting = sorted(new["valid_ports"])
         log["branch"] = "init"
+        log["valid"] = sorted(new["valid_ports"])
+        log["invalid"] = sorted(new["invalid_ports"])
     else:
         new["phase_drops"] = new["phase_drops"] | detector
         waiting = sorted(new["valid_ports"] - new["phase_drops"])
@@ -156,11 +158,17 @@ def set_execute(s: dict, algo):
         pulled={},
         algo_state=algo.step(s["algo_state"], neighbor_states),
     )
+    phase_bytes, body = set_serialize(new)
     log = {
+        "action": "execute",
+        "phase": s["phase"],
         "committed": committed,
         "valid": sorted(s["valid_ports"]),
         "phase_drops": sorted(s["phase_drops"]),
         "pulled": [[p, algo.serialize(s["pulled"][p].algo_state).hex()] for p in committed],
+        "state": algo.serialize(new["algo_state"]).hex(),
+        "mem_phase": phase_bytes.hex(),
+        "mem_body": body.hex(),
     }
     return new, log
 

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import re
@@ -6,10 +8,13 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dynsync.cli
 from dynsync.cli import (
@@ -265,6 +270,48 @@ class TestRunCommand:
         code = main(["run", str(path), "--out", str(tmp_path), *selected])
         assert code == EXIT_CONFIG_INVALID
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "checks, selection, unset",
+        [
+            ({"correctness": True}, "liveness", ["liveness"]),
+            ({"correctness": True, "fairness": False}, "fairness,correctness", ["fairness"]),
+            ({}, "correctness,liveness", ["correctness", "liveness"]),
+        ],
+    )
+    def test_a_selected_check_the_config_does_not_request_exits_config_invalid(
+        self, tmp_path, capsys, checks, selection, unset
+    ):
+        path = write_config(tmp_path, checks=checks)
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--out", str(out), "--checks", selection])
+        assert code == EXIT_CONFIG_INVALID
+        err = capsys.readouterr().err
+        assert err == f"config error: checks requested but not configured: {unset}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n", "delta", "horizon"])
+    def test_a_size_over_sys_maxsize_exits_config_invalid(self, tmp_path, capsys, key):
+        # a larger size cannot index a list
+        path = write_config(tmp_path, **{key: 2**70})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == (
+            f"config error: {key} must be an integer from 1 to {sys.maxsize}, got {2**70}\n"
+        )
+        assert not out.exists()
+
+    def test_a_scenario_too_large_for_memory_exits_config_invalid(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(dynsync.cli, "run", out_of_memory)
+        out = tmp_path / "out"
+        assert main(["run", "static_triangle", "--out", str(out)]) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == "config error: the scenario does not fit in memory\n"
+        assert not out.exists()
 
     def test_scripted_dynamics_shorter_than_horizon_exits_config_invalid(self, tmp_path, capsys):
         path = write_config(
@@ -557,6 +604,24 @@ def test_a_check_that_raises_leaves_no_trace_and_no_child(
     assert_no_child_left()
 
 
+def test_an_unnamed_exception_is_an_internal_error_with_its_traceback(
+    tmp_path, capsys, monkeypatch, writer
+):
+    def broken_check(*args):
+        raise RuntimeError("the check broke")
+
+    monkeypatch.setattr(dynsync.cli, "check_trace", broken_check)
+    out = tmp_path / "out"
+    assert main(["run", "churn_mesh", "--out", str(out)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert 'raise RuntimeError("the check broke")' in err
+    assert err.endswith("internal invariant violated: RuntimeError('the check broke')\n")
+    assert list(out.iterdir()) == []
+    assert len(writer.forks) == writer.forked
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize(
     "ending, message",
     [
@@ -577,6 +642,49 @@ def test_a_forked_writer_that_ends_otherwise_is_an_internal_error(
         assert err.startswith("trace writer: ZeroDivisionError(")
     assert not list(tmp_path.glob("*.h.json"))
     assert_no_child_left()
+
+
+FUZZ_VALUES = [None, True, -1, 0, 2**70, 1.5, "x", [], {}, [[0, 0]], [[0, 9]]]
+
+
+def value_paths(value, path=()):
+    """The path of ``value`` and of every value nested in it, as key and
+    index tuples."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from value_paths(item, (*path, key))
+
+
+def replaced(value, path, by):
+    if not path:
+        return by
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], by)
+    return copy
+
+
+FUZZED = json.loads(
+    (Path(dynsync.cli.__file__).parent / "scenarios" / "static_triangle.json").read_text()
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(list(value_paths(FUZZED))), by=st.sampled_from(FUZZ_VALUES))
+def test_a_config_with_one_value_replaced_ends_in_a_result_or_a_named_error(path, by):
+    """Exit 0, or 1 with a failed check in the report, or 2, a named config
+    error: never a traceback, and never 1 without a failed check."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzzed.json"
+        config.write_text(json.dumps(replaced(FUZZED, path, by)))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(config), "--out", str(Path(tmp) / "out")])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG_INVALID), err.getvalue()
+    if code == EXIT_CHECK_FAILED:
+        assert re.search(r"^CHECK \S+ FAIL ", out.getvalue(), re.MULTILINE)
+    if code == EXIT_CONFIG_INVALID:
+        assert err.getvalue().startswith("config error: ")
 
 
 class TestSynthCommand:
@@ -636,6 +744,18 @@ class TestSynthCommand:
         assert "CHECK round-trip FAIL" in (tmp_path / "single-synth.report.txt").read_text()
         scenario = json.loads((tmp_path / "single-synth.scenario.json").read_text())
         assert scenario["dynamics"]["stages"] == [[]] * 3
+
+    @pytest.mark.parametrize("key", ["n", "delta"])
+    def test_a_size_over_sys_maxsize_is_invalid(self, tmp_path, capsys, key):
+        h = tmp_path / "huge.json"
+        h.write_text(json.dumps({"n": 2, "delta": 1, "steps": [[[0, 1]]], key: 2**70}))
+        out = tmp_path / "out"
+        assert main(["synth", str(h), "--out", str(out)]) == EXIT_CONFIG_INVALID
+        assert capsys.readouterr().err == (
+            f"invalid history: history {key} must be an integer from 1 to {sys.maxsize}, "
+            f"got {2**70}\n"
+        )
+        assert not out.exists()
 
     def test_missing_history_file(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == EXIT_CONFIG_INVALID

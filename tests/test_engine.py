@@ -1,14 +1,17 @@
+import ast
 import gc
 import itertools
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_edge_sets
+from dynsync import engine
 from dynsync.algorithms import make_algorithm
 from dynsync.cli import bundled_scenarios, execute_scenario, load_config
 from dynsync.engine import Configuration, InternalInvariantError, pull_view, run, stage
@@ -638,3 +641,47 @@ def test_enabled_action_gives_the_members_stage_acts_on(name):
         maps, inverse, dropped = ports.by_stage[t], ports.inverse[t], ports.dropped[t]
         events = stage(current, t, edges, maps, inverse, dropped, schedule[t], algo)
         assert [ev["action"] for ev in events[1:]] == [kinds[u].value for u in schedule[t]]
+
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_node_code_writes_every_field_of_its_event_but_who_and_when(name, monkeypatch):
+    """Each action event's keys are its node's log's keys plus exactly
+    ``kind``, ``t`` and ``node``, and an init's ``port_map`` or an execute's
+    ``committed_map``: no field has two writers."""
+    logged = []
+
+    def recording(action):
+        def recorded(*args):
+            result = action(*args)
+            logged.append(set(result[-1]))
+            return result
+
+        return recorded
+
+    monkeypatch.setattr(engine, "handshake", recording(engine.handshake))
+    monkeypatch.setattr(engine, "execute_synch", recording(engine.execute_synch))
+    trace = execute_scenario(load_config(name)).trace
+    actions = [ev for ev in trace.events if ev["kind"] == "action"]
+    assert len(actions) == len(logged) > 0
+    for event, keys in zip(actions, logged):
+        if event["action"] == "execute":
+            neighbors = {"committed_map"}
+        else:
+            neighbors = {"port_map"} if event["branch"] == "init" else set()
+        engine_keys = {"kind", "t", "node"} | neighbors
+        assert not keys & engine_keys
+        assert set(event) == keys | engine_keys
+
+
+def test_the_engine_imports_neither_port_words_nor_the_footprint_encoding():
+    """Port-word lists and the footprint are the node's to encode, so its
+    log carries them and the engine never builds them."""
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not {"ports_of", "serialize_sync_state"} & imported

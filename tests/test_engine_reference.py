@@ -118,13 +118,15 @@ def reference_run(graph, script, algo, inputs=None):
                 reads = StartReads(start, start_detectors, behind)
                 new, blocked, log = handshake(own, reads, word(start_detectors[u]))
                 writes += [behind[port] for port in blocked]
+                # the reference's own fields after the log's, so that the
+                # log's copies of them are compared, not taken for granted
                 event = {
+                    **log,
                     "kind": "action",
                     "t": t,
                     "node": u,
                     "action": "handshake",
                     "phase": own.phase,
-                    **log,
                 }
                 if log["branch"] == "init":
                     init_maps[u] = dict(maps[t][u])
@@ -135,6 +137,7 @@ def reference_run(graph, script, algo, inputs=None):
                 new, log = execute_synch(own, algo)
                 phase_bytes, body = serialize_sync_state(new)
                 event = {
+                    **log,
                     "kind": "action",
                     "t": t,
                     "node": u,
@@ -144,7 +147,6 @@ def reference_run(graph, script, algo, inputs=None):
                     "state": algo.serialize(new.algo_state).hex(),
                     "mem_phase": phase_bytes.hex(),
                     "mem_body": body.hex(),
-                    **log,
                     # from the views themselves, not from the log
                     "pulled": [
                         [p, algo.serialize(own.pulled[p].algo_state).hex()]

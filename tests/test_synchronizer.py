@@ -329,8 +329,9 @@ class TestExecute:
         s.valid_ports = s.blocked = word({0, 1, 2, 3})
         states = [(key, port) for port, key in enumerate(keys)]
         s.pulled = {port: view(algo_state=state) for port, state in enumerate(states)}
-        _, log = execute_synch(s, algo)
-        assert algo.encoded == states
+        new, log = execute_synch(s, algo)
+        # the node's own new state is encoded once more, for the log's state
+        assert algo.encoded == states + [new.algo_state]
         assert algo.stepped == [algo.sort_states(states)]
         assert log["pulled"] == [[port, key.encode().hex()] for port, key in enumerate(keys)]
 
